@@ -18,6 +18,7 @@
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "ssa/SSABuilder.h"
+#include "support/Stats.h"
 
 #include <cstdio>
 
@@ -69,8 +70,10 @@ int main() {
   // 3. The paper's coalescer: liveness + dominance forests, no
   //    interference graph. Trace output narrates each decision.
   Liveness LV(F);
+  Instrumentation Narration;
+  Narration.Narrate = stdout;
   FastCoalescerOptions CoalesceOpts;
-  CoalesceOpts.Trace = stdout;
+  CoalesceOpts.Instr = &Narration;
   std::printf("== coalescing decisions ==\n");
   FastCoalesceStats Stats = coalesceSSA(F, DT, LV, CoalesceOpts);
 

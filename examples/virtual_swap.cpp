@@ -21,6 +21,7 @@
 #include "ir/Module.h"
 #include "ssa/SSABuilder.h"
 #include "ssa/StandardDestruction.h"
+#include "support/Stats.h"
 
 #include <cstdio>
 
@@ -75,8 +76,10 @@ int main() {
                 printFunction(F).c_str());
 
     Liveness LV(F);
+    Instrumentation Narration;
+    Narration.Narrate = stdout;
     FastCoalescerOptions CoalesceOpts;
-    CoalesceOpts.Trace = stdout;
+    CoalesceOpts.Instr = &Narration;
     std::printf("== the coalescer's decisions ==\n");
     FastCoalesceStats Stats = coalesceSSA(F, DT, LV, CoalesceOpts);
     std::printf("\n== New algorithm's output (%u copies, %u cycle temp) "

@@ -21,7 +21,8 @@ using namespace fcc;
 FastCoalescer::FastCoalescer(Function &F, const DominatorTree &DT,
                              const Liveness &LV,
                              const FastCoalescerOptions &Opts)
-    : F(F), DT(DT), LV(LV), Opts(Opts) {
+    : F(F), DT(DT), LV(LV), Opts(Opts),
+      Narrate(Opts.Instr ? Opts.Instr->Narrate : nullptr) {
   assert(!hasCriticalEdges(F) && "split critical edges before coalescing");
   unsigned NumVars = F.numVariables();
   Sets.grow(NumVars);
@@ -160,8 +161,8 @@ void FastCoalescer::computePartition() {
         }
       break;
     }
-    if (Opts.Trace)
-      std::fprintf(Opts.Trace,
+    if (Narrate)
+      std::fprintf(Narrate,
                    "  round %u evicted %u members; re-coalescing them\n",
                    Stats.Rounds, EvictedCount);
   }
@@ -349,8 +350,8 @@ void FastCoalescer::buildInitialSets() {
 
         if (RejectedBy != 0 && Opts.UseFilters) {
           ++Stats.FilterRejections;
-          if (Opts.Trace)
-            std::fprintf(Opts.Trace,
+          if (Narrate)
+            std::fprintf(Narrate,
                          "  filter %d: keep %s out of %s's set (block %s)\n",
                          RejectedBy, A->name().c_str(), P->name().c_str(),
                          B->name().c_str());
@@ -361,8 +362,8 @@ void FastCoalescer::buildInitialSets() {
         unsigned RootA = Sets.find(A->id());
         if (Opts.EagerSetChecks && setsWouldInterfere(RootP, RootA)) {
           ++Stats.FilterRejections;
-          if (Opts.Trace)
-            std::fprintf(Opts.Trace,
+          if (Narrate)
+            std::fprintf(Narrate,
                          "  eager: merging %s's and %s's sets would "
                          "interfere (block %s)\n",
                          A->name().c_str(), P->name().c_str(),
@@ -474,8 +475,8 @@ void FastCoalescer::walkForests() {
               !Opts.CostBasedVictims ||
               (cost(C) < cost(P) &&
                !ParentThreatensOthers(static_cast<unsigned>(AncIdx), N));
-          if (Opts.Trace)
-            std::fprintf(Opts.Trace,
+          if (Narrate)
+            std::fprintf(Narrate,
                          "  forest: %s live out of %s's block %s -> evict "
                          "%s (cost %llu vs %llu)\n",
                          PM.Var->name().c_str(), CM.Var->name().c_str(),
@@ -561,8 +562,8 @@ void FastCoalescer::resolveLocalInterference() {
       }
       if (!Interferes)
         continue;
-      if (Opts.Trace)
-        std::fprintf(Opts.Trace,
+      if (Narrate)
+        std::fprintf(Narrate,
                      "  local: %s overlaps %s inside block %s -> evict %s\n",
                      F.variable(P)->name().c_str(),
                      F.variable(C)->name().c_str(), B->name().c_str(),

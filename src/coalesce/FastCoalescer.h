@@ -99,13 +99,11 @@ struct FastCoalescerOptions {
   /// are the "simple cases" of this check ("These five are not exhaustive",
   /// Section 3.1). Off reproduces the paper's lazy two-phase behavior.
   bool EagerSetChecks = true;
-  /// When set, every filter rejection and eviction is narrated here (used
-  /// by the examples and for debugging).
-  std::FILE *Trace = nullptr;
   /// Observability sinks (support/Stats.h): sub-phase timers per round
   /// (fast.build-sets / fast.forest-walk / fast.local-scan / fast.rewrite,
   /// trace category "coalesce") plus the fast.* outcome counters recorded
-  /// at rewrite. Null (the default) is the uninstrumented fast path.
+  /// at rewrite, and the decision narration when Instr->Narrate is set.
+  /// Null (the default) is the uninstrumented fast path.
   const Instrumentation *Instr = nullptr;
 };
 
@@ -156,6 +154,8 @@ private:
   const DominatorTree &DT;
   const Liveness &LV;
   FastCoalescerOptions Opts;
+  /// Opts.Instr's narration stream, or null.
+  std::FILE *Narrate;
   FastCoalesceStats Stats;
   bool PartitionDone = false;
 

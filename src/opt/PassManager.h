@@ -48,7 +48,7 @@ std::string passSequenceName(const std::vector<PassKind> &Passes);
 /// Parses a --passes= value: a comma-separated list of pass names, or the
 /// empty string / "none" for the empty sequence. Returns false on any
 /// unknown name, leaving \p Out untouched (and naming the offender in
-/// \p BadToken when given) — strict-parse, like parseAnalysisStrategy.
+/// \p BadToken when given).
 bool parsePassSequence(const std::string &Text, std::vector<PassKind> &Out,
                        std::string *BadToken = nullptr);
 

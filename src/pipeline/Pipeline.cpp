@@ -35,28 +35,6 @@ const char *fcc::pipelineName(PipelineKind Kind) {
   return "<invalid>";
 }
 
-const char *fcc::analysisStrategyName(AnalysisStrategy Strategy) {
-  bool Dsu = Strategy.Dominators == DomAlgorithm::DSU;
-  if (Strategy.Liveness == LivenessAlgorithm::Sparse)
-    return Dsu ? "dsu+sparse" : "chk+sparse";
-  return Dsu ? "dsu+dense" : "chk+dense";
-}
-
-bool fcc::parseAnalysisStrategy(const std::string &Text,
-                                AnalysisStrategy &Out) {
-  if (Text == "fast" || Text == "dsu+sparse")
-    Out = AnalysisStrategy{};
-  else if (Text == "legacy" || Text == "chk+dense")
-    Out = legacyAnalyses();
-  else if (Text == "dsu+dense")
-    Out = {DomAlgorithm::DSU, LivenessAlgorithm::Dense};
-  else if (Text == "chk+sparse")
-    Out = {DomAlgorithm::CHK, LivenessAlgorithm::Sparse};
-  else
-    return false;
-  return true;
-}
-
 // The optional optimization stage: runs the configured pass sequence over
 // the freshly built SSA form. Passes may fold branches and delete blocks,
 // so critical edges are re-split (ADCE retargeting can create new ones)
@@ -110,6 +88,19 @@ static void runRegallocStage(Function &F, const PipelineOptions &Opts,
 PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
   const PipelineKind Kind = Opts.Kind;
   const Instrumentation *Instr = Opts.Instr;
+  const bool Briggs =
+      Kind == PipelineKind::Briggs || Kind == PipelineKind::BriggsImproved;
+  // Live-range web identification undoes SSA renaming by name: it relies on
+  // every phi web mirroring exactly one source variable, which holds only
+  // for unoptimized, unfolded SSA. SCCP's copy forwarding can merge names
+  // from distinct origins (even two parameters) into one web, and rewriting
+  // such a web to one name would change semantics — so the opt stage is a
+  // configuration error here, not a silent no-op.
+  if (Briggs && !Opts.Passes.empty())
+    throw std::invalid_argument(
+        "optimization passes are not supported with the Briggs pipelines "
+        "(live-range webs assume unoptimized SSA)");
+
   PipelineResult Result;
   Result.Kind = Kind;
   // When instrumented, every top-level phase lands in Result.Phases; only
@@ -121,48 +112,37 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
   }
 
   Timer Clock; // The paper's timer: starts right before SSA construction.
+  std::optional<DominatorTree> DT;
+  {
+    PhaseScope P(Instr, "dominators", "pipeline", Ph);
+    DT.emplace(F, Opts.Analyses.Dominators);
+  }
+  // Copy folding suits the SSA-based destructors; the Briggs webs need the
+  // copies kept so each web still mirrors one source variable.
+  SSABuildOptions BuildOpts;
+  BuildOpts.FoldCopies = !Briggs;
+  SSABuildStats Ssa;
+  {
+    PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
+    Ssa = buildSSA(F, *DT, BuildOpts);
+  }
+  // Time spent outside the paper's window: the optimizer and the audit.
+  uint64_t ExcludedMicros = runOptStage(F, Opts, DT, Result, Ph);
+  // Peak bytes of the destruction stage, its liveness included; the
+  // dominator tree's bytes are added once at the end.
+  size_t DestroyBytes = 0;
 
   switch (Kind) {
   case PipelineKind::Standard: {
-    std::optional<DominatorTree> DT;
-    {
-      PhaseScope P(Instr, "dominators", "pipeline", Ph);
-      DT.emplace(F, Opts.Analyses.Dominators);
-    }
-    SSABuildOptions BuildOpts;
-    BuildOpts.FoldCopies = true;
-    SSABuildStats Ssa;
-    {
-      PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
-      Ssa = buildSSA(F, *DT, BuildOpts);
-    }
-    uint64_t OptMicros = runOptStage(F, Opts, DT, Result, Ph);
     DestructionStats Destr;
     {
       PhaseScope P(Instr, "rewrite", "pipeline", Ph);
       Destr = destroySSAStandard(F);
     }
-    uint64_t Elapsed = Clock.elapsedMicros();
-    Result.TimeMicros = Elapsed > OptMicros ? Elapsed - OptMicros : 0;
-    Result.PhisInserted = Ssa.PhisInserted;
-    Result.PeakBytes =
-        std::max(Ssa.PeakBytes, Destr.PeakBytes) + DT->bytes();
+    DestroyBytes = Destr.PeakBytes;
     break;
   }
   case PipelineKind::New: {
-    std::optional<DominatorTree> DT;
-    {
-      PhaseScope P(Instr, "dominators", "pipeline", Ph);
-      DT.emplace(F, Opts.Analyses.Dominators);
-    }
-    SSABuildOptions BuildOpts;
-    BuildOpts.FoldCopies = true;
-    SSABuildStats Ssa;
-    {
-      PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
-      Ssa = buildSSA(F, *DT, BuildOpts);
-    }
-    uint64_t OptMicros = runOptStage(F, Opts, DT, Result, Ph);
     std::optional<Liveness> LV;
     {
       PhaseScope P(Instr, "liveness", "pipeline", Ph);
@@ -176,42 +156,32 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
       Coalescer.emplace(F, *DT, *LV, CoOpts);
       Coalescer->computePartition();
     }
+    if (Opts.CheckPartition) {
+      // The audit is diagnostics, not conversion work: keep its cost out of
+      // the paper-comparable timing and out of the phase samples.
+      Timer CheckClock;
+      std::string Error;
+      bool Valid;
+      {
+        PhaseScope P(Instr, "partition-check", "audit");
+        Valid = checkCoalescing(
+            F, *LV, [&](const Variable *V) { return Coalescer->rep(V); },
+            Error);
+      }
+      if (!Valid)
+        throw PartitionRefuted(Error);
+      ExcludedMicros += CheckClock.elapsedMicros();
+    }
     FastCoalesceStats Co;
     {
       PhaseScope P(Instr, "rewrite", "pipeline", Ph);
       Co = Coalescer->rewrite();
     }
-    uint64_t Elapsed = Clock.elapsedMicros();
-    Result.TimeMicros = Elapsed > OptMicros ? Elapsed - OptMicros : 0;
-    Result.PhisInserted = Ssa.PhisInserted;
-    Result.PeakBytes =
-        std::max(Ssa.PeakBytes, Co.PeakBytes + LV->bytes()) + DT->bytes();
+    DestroyBytes = Co.PeakBytes + LV->bytes();
     break;
   }
   case PipelineKind::Briggs:
   case PipelineKind::BriggsImproved: {
-    // Live-range web identification undoes SSA renaming by name: it relies
-    // on every phi web mirroring exactly one source variable, which holds
-    // only for unoptimized, unfolded SSA. SCCP's copy forwarding can merge
-    // names from distinct origins (even two parameters) into one web, and
-    // rewriting such a web to one name would change semantics — so the opt
-    // stage is a configuration error here, not a silent no-op.
-    if (!Opts.Passes.empty())
-      throw std::invalid_argument(
-          "optimization passes are not supported with the Briggs pipelines "
-          "(live-range webs assume unoptimized SSA)");
-    std::optional<DominatorTree> DT;
-    {
-      PhaseScope P(Instr, "dominators", "pipeline", Ph);
-      DT.emplace(F, Opts.Analyses.Dominators);
-    }
-    SSABuildOptions BuildOpts;
-    BuildOpts.FoldCopies = false;
-    SSABuildStats Ssa;
-    {
-      PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
-      Ssa = buildSSA(F, *DT, BuildOpts);
-    }
     {
       PhaseScope P(Instr, "live-range-webs", "pipeline", Ph);
       identifyLiveRangeWebs(F);
@@ -220,93 +190,26 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
     BriggsOptions BO;
     BO.Improved = Kind == PipelineKind::BriggsImproved;
     BO.Instr = Instr;
-    BriggsStats Briggs;
+    BriggsStats Stats;
     {
       PhaseScope P(Instr, "briggs-coalesce", "pipeline", Ph);
-      Briggs = coalesceCopiesBriggs(F, BO);
+      Stats = coalesceCopiesBriggs(F, BO);
     }
     Result.CoalesceTimeMicros = CoalesceClock.elapsedMicros();
-    Result.TimeMicros = Clock.elapsedMicros();
-    Result.PhisInserted = Ssa.PhisInserted;
-    Result.PeakBytes = std::max(Ssa.PeakBytes, Briggs.PeakBytes) + DT->bytes();
-    Result.GraphBytesPerPass = std::move(Briggs.GraphBytesPerPass);
-    Result.CoalescePasses = Briggs.Iterations;
+    DestroyBytes = Stats.PeakBytes;
+    Result.GraphBytesPerPass = std::move(Stats.GraphBytesPerPass);
+    Result.CoalescePasses = Stats.Iterations;
     break;
   }
   }
 
+  uint64_t Elapsed = Clock.elapsedMicros();
+  Result.TimeMicros = Elapsed > ExcludedMicros ? Elapsed - ExcludedMicros : 0;
+  Result.PhisInserted = Ssa.PhisInserted;
+  Result.PeakBytes = std::max(Ssa.PeakBytes, DestroyBytes) + DT->bytes();
   Result.StaticCopies = F.staticCopyCount();
   runRegallocStage(F, Opts, Result, Ph);
   return Result;
-}
-
-bool fcc::runPipelineChecked(Function &F, const PipelineOptions &Opts,
-                             PipelineResult &Result, std::string &Error) {
-  const Instrumentation *Instr = Opts.Instr;
-  Result = PipelineResult();
-  Result.Kind = PipelineKind::New;
-  std::vector<PhaseSample> *Ph = Instr ? &Result.Phases : nullptr;
-  {
-    PhaseScope Split(Instr, "split-critical-edges", "setup", Ph);
-    Result.CriticalEdgesSplit = splitCriticalEdges(F);
-  }
-
-  Timer Clock;
-  std::optional<DominatorTree> DT;
-  {
-    PhaseScope P(Instr, "dominators", "pipeline", Ph);
-    DT.emplace(F, Opts.Analyses.Dominators);
-  }
-  SSABuildOptions BuildOpts;
-  BuildOpts.FoldCopies = true;
-  SSABuildStats Ssa;
-  {
-    PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
-    Ssa = buildSSA(F, *DT, BuildOpts);
-  }
-  uint64_t OptMicros = runOptStage(F, Opts, DT, Result, Ph);
-  std::optional<Liveness> LV;
-  {
-    PhaseScope P(Instr, "liveness", "pipeline", Ph);
-    LV.emplace(F, Opts.Analyses.Liveness);
-  }
-
-  FastCoalescerOptions CoOpts;
-  CoOpts.Instr = Instr;
-  std::optional<FastCoalescer> Coalescer;
-  {
-    PhaseScope P(Instr, "forest-walk", "pipeline", Ph);
-    Coalescer.emplace(F, *DT, *LV, CoOpts);
-    Coalescer->computePartition();
-  }
-
-  // The audit is diagnostics, not conversion work: keep its cost out of the
-  // paper-comparable timing (and out of the "pipeline" phase samples).
-  Timer CheckClock;
-  bool Valid;
-  {
-    PhaseScope P(Instr, "partition-check", "audit");
-    Valid = checkCoalescing(
-        F, *LV, [&](const Variable *V) { return Coalescer->rep(V); }, Error);
-  }
-  uint64_t CheckMicros = CheckClock.elapsedMicros();
-  if (!Valid)
-    return false;
-
-  FastCoalesceStats Co;
-  {
-    PhaseScope P(Instr, "rewrite", "pipeline", Ph);
-    Co = Coalescer->rewrite();
-  }
-  uint64_t Elapsed = Clock.elapsedMicros();
-  uint64_t Excluded = CheckMicros + OptMicros;
-  Result.TimeMicros = Elapsed > Excluded ? Elapsed - Excluded : 0;
-  Result.PhisInserted = Ssa.PhisInserted;
-  Result.PeakBytes =
-      std::max(Ssa.PeakBytes, Co.PeakBytes + LV->bytes()) + DT->bytes();
-  Result.StaticCopies = F.staticCopyCount();
-  runRegallocStage(F, Opts, Result, Ph);
-  return true;
 }
 
 RoutineReport fcc::runOnRoutine(const RoutineSpec &Spec, PipelineKind Kind,

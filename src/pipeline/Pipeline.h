@@ -14,10 +14,13 @@
 /// construction and stops when the code is rewritten. Critical edges are
 /// split beforehand ("after we have read in the code").
 ///
-/// Re-entrancy guarantee: runPipeline, runPipelineChecked and runOnRoutine
-/// are safe to call concurrently from multiple threads as long as each call
-/// operates on a distinct Function (for runOnRoutine, each call materializes
-/// its own Module). Every pass and analysis in the repository — SSABuilder,
+/// runPipeline is the one place that sequences these stages; every tool and
+/// the compilation service compile through it.
+///
+/// Re-entrancy guarantee: runPipeline and runOnRoutine are safe to call
+/// concurrently from multiple threads as long as each call operates on a
+/// distinct Function (for runOnRoutine, each call materializes its own
+/// Module). Every pass and analysis in the repository — SSABuilder,
 /// Liveness, DominatorTree, FastCoalescer, StandardDestruction, the Briggs
 /// coalescers, the verifier, the interpreter and the generator — keeps all
 /// mutable state in objects scoped to one call; the only function-local
@@ -41,6 +44,7 @@
 #include "workload/KernelSuite.h"
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,8 +65,8 @@ const char *pipelineName(PipelineKind Kind);
 /// identical bit sets, so rewritten code, reports and PeakBytes are
 /// byte-for-byte the same under any strategy — the DifferentialOracle
 /// cross-validates exactly that on every fuzz campaign. The default is the
-/// near-linear pair; legacyAnalyses() is the pre-DSU configuration kept for
-/// A/B measurement and differential testing.
+/// near-linear pair; legacyAnalyses() is the pre-DSU configuration kept as
+/// the reference for differential testing.
 struct AnalysisStrategy {
   DomAlgorithm Dominators = DomAlgorithm::DSU;
   LivenessAlgorithm Liveness = LivenessAlgorithm::Sparse;
@@ -73,13 +77,12 @@ constexpr AnalysisStrategy legacyAnalyses() {
   return {DomAlgorithm::CHK, LivenessAlgorithm::Dense};
 }
 
-/// Canonical spelling: "dsu+sparse", "dsu+dense", "chk+sparse", "chk+dense".
-const char *analysisStrategyName(AnalysisStrategy Strategy);
-
-/// Parses an --analysis= value: a canonical spelling, or the aliases
-/// "fast" (dsu+sparse) and "legacy" (chk+dense). Returns false on anything
-/// else, leaving \p Out untouched.
-bool parseAnalysisStrategy(const std::string &Text, AnalysisStrategy &Out);
+/// Thrown by runPipeline when PipelineOptions::CheckPartition is set and
+/// CoalescingChecker refutes the coalescer's partition. what() names the
+/// offending pair; the function is left in SSA form.
+struct PartitionRefuted : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Measurements from one pipeline run over one function.
 struct PipelineResult {
@@ -146,13 +149,21 @@ struct PipelineOptions {
   /// Optimization passes (opt/PassManager.h) run over the SSA form after
   /// construction and before liveness/coalescing, so the coalescers see
   /// optimized phi webs and copy chains. The stage's phases carry category
-  /// "opt" and its time is excluded from TimeMicros (like the audit in
-  /// runPipelineChecked) — the paper's window measures the SSA round trip,
-  /// not the optimizer. Empty (the default) skips the stage entirely.
+  /// "opt" and its time is excluded from TimeMicros (like the partition
+  /// audit) — the paper's window measures the SSA round trip, not the
+  /// optimizer. Empty (the default) skips the stage entirely.
   /// Not supported with the Briggs pipelines (runPipeline throws
   /// std::invalid_argument): live-range web identification undoes SSA
   /// renaming by name and requires unoptimized SSA.
   std::vector<PassKind> Passes;
+  /// New pipeline only (the other configurations ignore it): after the
+  /// coalescer decides its partition and before any rewriting, audit it
+  /// with CoalescingChecker against exact SSA liveness. The audit traces
+  /// as "partition-check" (category "audit") to the instrumentation's
+  /// sinks, is not a Result.Phases sample, and its time is excluded from
+  /// TimeMicros, so a passing check leaves every result field as an
+  /// unchecked run would. A refutation throws PartitionRefuted.
+  bool CheckPartition = false;
 };
 
 /// Runs one configuration over \p F in place. \p F must be a verified,
@@ -166,26 +177,6 @@ inline PipelineResult runPipeline(Function &F, PipelineKind Kind,
   Opts.Kind = Kind;
   Opts.Instr = Instr;
   return runPipeline(F, Opts);
-}
-
-/// The New configuration with a safety net: after the coalescer decides its
-/// partition (phases 1-4) and before any rewriting, the assignment is
-/// cross-validated with CoalescingChecker against exact SSA liveness. On
-/// success behaves exactly like runPipeline with Kind New (Opts.Kind is
-/// ignored), with the checker's own time excluded from TimeMicros (and from
-/// the "pipeline" phase samples — the audit traces under category "audit").
-/// On refutation returns false, fills \p Error with the offending pair and
-/// leaves \p F in SSA form.
-bool runPipelineChecked(Function &F, const PipelineOptions &Opts,
-                        PipelineResult &Result, std::string &Error);
-
-/// Convenience overload with the default analysis strategy.
-inline bool runPipelineChecked(Function &F, PipelineResult &Result,
-                               std::string &Error,
-                               const Instrumentation *Instr = nullptr) {
-  PipelineOptions Opts;
-  Opts.Instr = Instr;
-  return runPipelineChecked(F, Opts, Result, Error);
 }
 
 /// One routine compiled under one configuration, optionally executed.

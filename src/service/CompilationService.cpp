@@ -16,6 +16,7 @@
 #include "support/TraceWriter.h"
 #include "workload/ProgramGenerator.h"
 
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <optional>
@@ -26,6 +27,78 @@ using namespace fcc;
 
 CompilationService::CompilationService(ServiceOptions Opts)
     : Opts(std::move(Opts)) {}
+
+PipelineOptions fcc::pipelineOptionsFor(const ServiceOptions &Opts) {
+  PipelineOptions P;
+  P.Kind = Opts.Pipeline;
+  P.Analyses = Opts.Analyses;
+  P.Machine = Opts.Machine ? &*Opts.Machine : nullptr;
+  P.Passes = Opts.Passes;
+  P.CheckPartition = Opts.CheckPartition;
+  return P;
+}
+
+FlagParse fcc::parseServiceFlag(const std::string &Arg, ServiceOptions &Opts,
+                                std::string &Error) {
+  // Splits off the value of a --name=VALUE argument.
+  auto Value = [&](const char *Prefix, std::string &Out) {
+    if (Arg.rfind(Prefix, 0) != 0)
+      return false;
+    Out = Arg.substr(std::strlen(Prefix));
+    return true;
+  };
+  std::string Name;
+  if (Arg == "--check") {
+    Opts.CheckPartition = true;
+  } else if (Arg == "--strict") {
+    Opts.EnforceStrictness = true;
+  } else if (Value("--pipeline=", Name)) {
+    if (Name == "new")
+      Opts.Pipeline = PipelineKind::New;
+    else if (Name == "standard")
+      Opts.Pipeline = PipelineKind::Standard;
+    else if (Name == "briggs")
+      Opts.Pipeline = PipelineKind::Briggs;
+    else if (Name == "briggs*")
+      Opts.Pipeline = PipelineKind::BriggsImproved;
+    else {
+      Error = "unknown pipeline '" + Name + "'";
+      return FlagParse::Invalid;
+    }
+  } else if (Value("--machine=", Name)) {
+    MachineModel MM;
+    if (!parseMachineModel(Name, MM)) {
+      Error = "unknown machine model '" + Name + "'";
+      return FlagParse::Invalid;
+    }
+    Opts.Machine = std::move(MM);
+  } else if (Value("--passes=", Name)) {
+    std::string BadToken;
+    if (!parsePassSequence(Name, Opts.Passes, &BadToken)) {
+      Error = "unknown pass '" + BadToken + "' (known passes: " +
+              knownPassNames() + ")";
+      return FlagParse::Invalid;
+    }
+  } else {
+    return FlagParse::NotShared;
+  }
+  return FlagParse::Parsed;
+}
+
+bool fcc::validateServiceOptions(const ServiceOptions &Opts,
+                                 std::string &Error) {
+  if (Opts.CheckPartition && Opts.Pipeline != PipelineKind::New) {
+    Error = "--check requires --pipeline=new";
+    return false;
+  }
+  if (!Opts.Passes.empty() && (Opts.Pipeline == PipelineKind::Briggs ||
+                               Opts.Pipeline == PipelineKind::BriggsImproved)) {
+    Error = "--passes is not supported with the Briggs pipelines "
+            "(live-range webs assume unoptimized SSA)";
+    return false;
+  }
+  return true;
+}
 
 namespace {
 
@@ -334,18 +407,12 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
     Record.InputInstructions = F.instructionCount();
 
     Instr.Function = F.name();
-    const Instrumentation *InstrPtr = Observe ? &Instr : nullptr;
-    PipelineOptions PipeOpts;
-    PipeOpts.Kind = Opts.Pipeline;
-    PipeOpts.Analyses = Opts.Analyses;
-    PipeOpts.Instr = InstrPtr;
-    PipeOpts.Machine = Opts.Machine ? &*Opts.Machine : nullptr;
-    PipeOpts.Passes = Opts.Passes;
-    if (Opts.CheckPartition && Opts.Pipeline == PipelineKind::New) {
-      if (!runPipelineChecked(F, PipeOpts, Record.Compile, Error))
-        return Fail(UnitStatus::CheckFailed, "@" + F.name() + ": " + Error);
-    } else {
+    PipelineOptions PipeOpts = pipelineOptionsFor(Opts);
+    PipeOpts.Instr = Observe ? &Instr : nullptr;
+    try {
       Record.Compile = runPipeline(F, PipeOpts);
+    } catch (const PartitionRefuted &E) {
+      return Fail(UnitStatus::CheckFailed, "@" + F.name() + ": " + E.what());
     }
 
     if (Registry)

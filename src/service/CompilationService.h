@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace fcc {
@@ -66,7 +67,8 @@ struct ServiceOptions {
   /// Worker threads; 0 means hardware concurrency, 1 runs inline.
   unsigned Jobs = 1;
   /// Validate every New-pipeline partition with CoalescingChecker before
-  /// rewriting (ignored for other pipelines).
+  /// rewriting (PipelineOptions::CheckPartition; ignored for other
+  /// pipelines). A refuted unit fails with CheckFailed.
   bool CheckPartition = false;
   /// Re-verify each rewritten function (cheap; on by default).
   bool VerifyOutput = true;
@@ -103,6 +105,29 @@ struct ServiceOptions {
   /// daemon returns it to clients; fcc-batch does not need it).
   bool WantRewritten = false;
 };
+
+/// The per-function pipeline configuration \p Opts describes, with no
+/// instrumentation. Machine points into \p Opts, which must outlive it.
+PipelineOptions pipelineOptionsFor(const ServiceOptions &Opts);
+
+/// What parseServiceFlag made of one command-line argument.
+enum class FlagParse {
+  NotShared, ///< Not a shared flag: the tool parses it itself.
+  Parsed,    ///< Applied to the options.
+  Invalid,   ///< A shared flag with a bad value; see the diagnostic.
+};
+
+/// Parses one argument of the flags fcc-opt, fcc-batch and fcc-served share:
+/// --pipeline=new|standard|briggs|briggs*, --machine=NAME, --passes=SEQ,
+/// --check and --strict. On Invalid, \p Error holds the diagnostic, e.g.
+/// "unknown pipeline 'x'" or "unknown pass 'x' (known passes: ...)".
+FlagParse parseServiceFlag(const std::string &Arg, ServiceOptions &Opts,
+                           std::string &Error);
+
+/// The cross-flag rules of the shared flags: --check audits the New
+/// pipeline's partition, so it needs --pipeline=new, and the Briggs
+/// pipelines reject --passes. Returns false with the diagnostic in \p Error.
+bool validateServiceOptions(const ServiceOptions &Opts, std::string &Error);
 
 /// Stateless-per-run batch compiler; one instance can serve many batches.
 class CompilationService {

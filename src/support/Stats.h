@@ -26,6 +26,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
@@ -103,6 +104,10 @@ std::string renderStats(const std::vector<PhaseTotal> &Phases,
 struct Instrumentation {
   StatsRegistry *Stats = nullptr;
   TraceWriter *Trace = nullptr;
+  /// When set, the fast coalescer narrates every filter rejection and
+  /// eviction here as text (fcc-opt --trace, the examples). Narration is
+  /// not a timing sink: it leaves active() unchanged.
+  std::FILE *Narrate = nullptr;
   /// Optional local staging buffer for trace events. When set, probes
   /// append here lock-free (tids unassigned) and the owner flushes once
   /// with TraceWriter::appendEvents — one lock per unit instead of one per

@@ -19,6 +19,7 @@
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "ssa/SSABuilder.h"
+#include "support/Stats.h"
 #include "workload/ProgramGenerator.h"
 #include <gtest/gtest.h>
 
@@ -134,8 +135,10 @@ TEST(CoalescerModeTest, TraceNarratesDecisions) {
   char Buffer[4096] = {0};
   std::FILE *Stream = fmemopen(Buffer, sizeof(Buffer) - 1, "w");
   ASSERT_NE(Stream, nullptr);
+  Instrumentation Instr;
+  Instr.Narrate = Stream;
   FastCoalescerOptions Opts;
-  Opts.Trace = Stream;
+  Opts.Instr = &Instr;
   coalesceSSA(F, DT, LV, Opts);
   std::fclose(Stream);
   EXPECT_NE(std::string(Buffer).find("keep"), std::string::npos)

@@ -29,11 +29,11 @@ using namespace fcc;
 
 namespace {
 
-void toSSA(Function &F) {
+void toSSA(Function &F, bool FoldCopies = true) {
   splitCriticalEdges(F);
   DominatorTree DT(F);
   SSABuildOptions Opts;
-  Opts.FoldCopies = true;
+  Opts.FoldCopies = FoldCopies;
   buildSSA(F, DT, Opts);
 }
 
@@ -173,5 +173,41 @@ TEST_P(PassInvariantTest, SequencesKeepSSAInvariantsAndSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PassInvariantTest, ::testing::Range(1u, 26u));
+
+class CopyForwardingPropertyTest : public ::testing::TestWithParam<unsigned> {};
+
+// sccp,adce is the copy cleanup on SSA: copy-dense programs keep their
+// source copies through construction (no folding), SCCP forwards each one
+// to its root and ADCE sweeps what dies. A copy may survive only as a phi
+// demoted after a branch fold stripped its join to one predecessor, so
+// without folds none survives, and the count never grows.
+TEST_P(CopyForwardingPropertyTest, SccpAdceRemovesCopiesAndPreservesSemantics) {
+  GeneratorOptions Opts;
+  Opts.Seed = GetParam();
+  Opts.SizeBudget = 10 + GetParam() % 20;
+  Opts.NumParams = 1 + GetParam() % 3;
+  Opts.CopyPercent = 30;
+
+  Module MRef, MGot;
+  Function *Ref = generateProgram(MRef, "g", Opts);
+  Function *Got = generateProgram(MGot, "g", Opts);
+  toSSA(*Got, /*FoldCopies=*/false);
+  unsigned CopiesBefore = Got->staticCopyCount();
+  PassManagerOptions PM;
+  PM.Verify = true;
+  PassStats St = runPassSequence(*Got, {PassKind::Sccp, PassKind::Adce}, PM);
+  std::string Error;
+  ASSERT_TRUE(verifyFunction(*Got, Error)) << Error;
+  EXPECT_LE(Got->staticCopyCount(), CopiesBefore);
+  if (St.BranchesFolded == 0 && St.BlocksRemoved == 0) {
+    EXPECT_EQ(Got->staticCopyCount(), 0u) << printFunction(*Got);
+  }
+  for (const auto &Args :
+       testutils::interestingArgs(static_cast<unsigned>(Ref->params().size())))
+    testutils::expectSameBehavior(*Ref, *Got, Args);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CopyForwardingPropertyTest,
+                         ::testing::Range(1u, 26u));
 
 } // namespace

@@ -6,8 +6,13 @@
 #include "../common/TestUtils.h"
 #include "ir/Function.h"
 #include "ir/IRParser.h"
+#include "ir/IRPrinter.h"
+#include "ir/Module.h"
 #include "ir/Verifier.h"
+#include "support/Stats.h"
+#include "workload/ProgramGenerator.h"
 #include <gtest/gtest.h>
+#include <utility>
 
 using namespace fcc;
 
@@ -121,6 +126,54 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(1u, 41u),
                        ::testing::Values(0, 1, 2, 3)));
 
+class OptimizedPipelineSemanticsTest
+    : public ::testing::TestWithParam<unsigned> {};
+
+// The opt stage inside the round trip: sccp,adce over the fresh SSA form,
+// then each destruction that accepts passes, the audited New run included.
+// The output is phi-free, verifies and behaves like the input, and New
+// still leaves no more copies than Standard.
+TEST_P(OptimizedPipelineSemanticsTest, SccpAdcePreservesSemanticsUnderEveryPipeline) {
+  GeneratorOptions GenOpts;
+  GenOpts.Seed = GetParam();
+  GenOpts.SizeBudget = 10 + GetParam() % 18;
+  GenOpts.NumParams = 1 + GetParam() % 3;
+  GenOpts.CopyPercent = 25;
+  GenOpts.MemPercent = 20;
+
+  const std::pair<PipelineKind, bool> Configs[] = {
+      {PipelineKind::Standard, false},
+      {PipelineKind::New, false},
+      {PipelineKind::New, true}};
+  unsigned Copies[3] = {};
+  for (unsigned C = 0; C != 3; ++C) {
+    auto [Kind, Check] = Configs[C];
+    std::string Where =
+        std::string(pipelineName(Kind)) + (Check ? " with --check" : "");
+    Module MRef, MGot;
+    Function *Ref = generateProgram(MRef, "g", GenOpts);
+    Function *Got = generateProgram(MGot, "g", GenOpts);
+    PipelineOptions Opts;
+    Opts.Kind = Kind;
+    Opts.Passes = {PassKind::Sccp, PassKind::Adce};
+    Opts.CheckPartition = Check;
+    PipelineResult R;
+    ASSERT_NO_THROW(R = runPipeline(*Got, Opts)) << Where;
+    Copies[C] = R.StaticCopies;
+    EXPECT_EQ(Got->phiCount(), 0u) << Where;
+    std::string Error;
+    ASSERT_TRUE(verifyFunction(*Got, Error)) << Where << ": " << Error;
+    for (const auto &Args : testutils::interestingArgs(
+             static_cast<unsigned>(Ref->params().size())))
+      testutils::expectSameBehavior(*Ref, *Got, Args);
+  }
+  EXPECT_LE(Copies[1], Copies[0]);
+  EXPECT_EQ(Copies[2], Copies[1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OptimizedPipelineSemanticsTest,
+                         ::testing::Range(1u, 16u));
+
 TEST(PipelineTest, ReportCarriesInputMetrics) {
   RoutineReport R =
       runOnRoutine(kernelSuite()[0], PipelineKind::New, /*Execute=*/false);
@@ -134,29 +187,6 @@ TEST(PipelineTest, DynamicCopiesNewAtMostStandard) {
     RoutineReport New = runOnRoutine(Spec, PipelineKind::New, true);
     EXPECT_LE(New.Exec.CopiesExecuted, Std.Exec.CopiesExecuted) << Spec.Name;
   }
-}
-
-TEST(PipelineTest, AnalysisStrategyNamesRoundTrip) {
-  const AnalysisStrategy Strategies[] = {
-      {DomAlgorithm::DSU, LivenessAlgorithm::Sparse},
-      {DomAlgorithm::DSU, LivenessAlgorithm::Dense},
-      {DomAlgorithm::CHK, LivenessAlgorithm::Sparse},
-      {DomAlgorithm::CHK, LivenessAlgorithm::Dense}};
-  for (AnalysisStrategy S : Strategies) {
-    AnalysisStrategy Parsed;
-    ASSERT_TRUE(parseAnalysisStrategy(analysisStrategyName(S), Parsed));
-    EXPECT_EQ(Parsed.Dominators, S.Dominators);
-    EXPECT_EQ(Parsed.Liveness, S.Liveness);
-  }
-  AnalysisStrategy Parsed;
-  ASSERT_TRUE(parseAnalysisStrategy("fast", Parsed));
-  EXPECT_EQ(Parsed.Dominators, DomAlgorithm::DSU);
-  EXPECT_EQ(Parsed.Liveness, LivenessAlgorithm::Sparse);
-  ASSERT_TRUE(parseAnalysisStrategy("legacy", Parsed));
-  EXPECT_EQ(Parsed.Dominators, DomAlgorithm::CHK);
-  EXPECT_EQ(Parsed.Liveness, LivenessAlgorithm::Dense);
-  EXPECT_FALSE(parseAnalysisStrategy("", Parsed));
-  EXPECT_FALSE(parseAnalysisStrategy("dsu", Parsed));
 }
 
 TEST(PipelineTest, OutputIsByteIdenticalAcrossAnalysisStrategies) {
@@ -189,10 +219,11 @@ TEST(PipelineTest, OutputIsByteIdenticalAcrossAnalysisStrategies) {
         Opts.Kind = Kind;
         Opts.Analyses = S;
         PipelineResult R = runPipeline(F, Opts);
-        EXPECT_EQ(printFunction(F), RefText)
-            << pipelineName(Kind) << " under " << analysisStrategyName(S);
-        EXPECT_EQ(R.PeakBytes, RefR.PeakBytes)
-            << pipelineName(Kind) << " under " << analysisStrategyName(S);
+        std::string Where = std::string(pipelineName(Kind)) + " under dom " +
+                            std::to_string(int(S.Dominators)) + ", liveness " +
+                            std::to_string(int(S.Liveness));
+        EXPECT_EQ(printFunction(F), RefText) << Where;
+        EXPECT_EQ(R.PeakBytes, RefR.PeakBytes) << Where;
         EXPECT_EQ(R.StaticCopies, RefR.StaticCopies);
         EXPECT_EQ(R.PhisInserted, RefR.PhisInserted);
         EXPECT_EQ(R.CriticalEdgesSplit, RefR.CriticalEdgesSplit);
@@ -206,21 +237,67 @@ TEST(PipelineTest, CheckedPipelineByteIdenticalAcrossAnalysisStrategies) {
        {testprogs::VirtualSwap, testprogs::SwapLoop, testprogs::LostCopy}) {
     auto RefM = parseSingleFunctionOrDie(Text);
     Function &RefF = *RefM->functions()[0];
-    PipelineResult RefR;
-    std::string Error;
     PipelineOptions RefOpts;
     RefOpts.Analyses = legacyAnalyses();
-    ASSERT_TRUE(runPipelineChecked(RefF, RefOpts, RefR, Error)) << Error;
+    RefOpts.CheckPartition = true;
+    PipelineResult RefR = runPipeline(RefF, RefOpts);
     std::string RefText = printFunction(RefF);
 
     auto M = parseSingleFunctionOrDie(Text);
     Function &F = *M->functions()[0];
-    PipelineResult R;
     PipelineOptions Opts; // Default: dsu+sparse.
-    ASSERT_TRUE(runPipelineChecked(F, Opts, R, Error)) << Error;
+    Opts.CheckPartition = true;
+    PipelineResult R = runPipeline(F, Opts);
     EXPECT_EQ(printFunction(F), RefText);
     EXPECT_EQ(R.PeakBytes, RefR.PeakBytes);
     EXPECT_EQ(R.StaticCopies, RefR.StaticCopies);
+  }
+}
+
+TEST(PipelineTest, CheckedRunMatchesUncheckedRun) {
+  // A passing audit is invisible in the result: same code, same fields and
+  // the same phase samples (the audit traces to the sinks only).
+  for (const char *Text : {testprogs::VirtualSwap, testprogs::SwapLoop,
+                           testprogs::LostCopy, testprogs::NestedLoops}) {
+    auto Run = [&](bool Check, std::string &Printed) {
+      auto M = parseSingleFunctionOrDie(Text);
+      StatsRegistry Reg;
+      Instrumentation Instr;
+      Instr.Stats = &Reg;
+      PipelineOptions Opts;
+      Opts.Instr = &Instr;
+      Opts.CheckPartition = Check;
+      PipelineResult R = runPipeline(*M->functions()[0], Opts);
+      Printed = printFunction(*M->functions()[0]);
+      return R;
+    };
+    std::string CheckedText, PlainText;
+    PipelineResult Checked = Run(true, CheckedText);
+    PipelineResult Plain = Run(false, PlainText);
+    EXPECT_EQ(CheckedText, PlainText);
+    EXPECT_EQ(Checked.PeakBytes, Plain.PeakBytes);
+    EXPECT_EQ(Checked.StaticCopies, Plain.StaticCopies);
+    EXPECT_EQ(Checked.PhisInserted, Plain.PhisInserted);
+    std::vector<std::string> CheckedNames, PlainNames;
+    for (const PhaseSample &P : Checked.Phases)
+      CheckedNames.push_back(P.Name);
+    for (const PhaseSample &P : Plain.Phases)
+      PlainNames.push_back(P.Name);
+    EXPECT_EQ(CheckedNames, PlainNames);
+    EXPECT_FALSE(PlainNames.empty());
+  }
+}
+
+TEST(PipelineTest, CheckPartitionIgnoredOutsideNew) {
+  for (PipelineKind Kind : {PipelineKind::Standard, PipelineKind::Briggs,
+                            PipelineKind::BriggsImproved}) {
+    auto M = parseSingleFunctionOrDie(testprogs::SwapLoop);
+    PipelineOptions Opts;
+    Opts.Kind = Kind;
+    Opts.CheckPartition = true;
+    PipelineResult R = runPipeline(*M->functions()[0], Opts);
+    EXPECT_EQ(R.Kind, Kind);
+    EXPECT_EQ(M->functions()[0]->phiCount(), 0u) << pipelineName(Kind);
   }
 }
 

@@ -9,10 +9,6 @@
 //   fcc-batch DIR|FILE... [options]
 //
 //   --pipeline=new|standard|briggs|briggs*  configuration (default new)
-//   --analysis=fast|legacy|dsu+sparse|chk+dense|dsu+dense|chk+sparse
-//                       analysis implementations backing the pipeline
-//                       (default fast = dsu+sparse); reports are
-//                       byte-identical across choices
 //   --machine=uniformN|dsp|embedded
 //                       run the register allocator after the pipeline on
 //                       every unit; reports gain per-function and total
@@ -86,8 +82,6 @@ int usage(const char *Argv0) {
   std::fprintf(
       stderr,
       "usage: %s DIR|FILE... [--pipeline=new|standard|briggs|briggs*]\n"
-      "       [--analysis=fast|legacy|dsu+sparse|chk+dense|dsu+dense|"
-      "chk+sparse]\n"
       "       [--machine=uniformN|dsp|embedded] [--passes=sccp,adce,pre]\n"
       "       [--jobs=N] [--generate=N[:SEED]] [--seed=N] [--json=PATH]\n"
       "       [--no-timings] [--cache[=BYTES]]\n"
@@ -101,43 +95,15 @@ bool parseArgs(int Argc, char **Argv, BatchOptions &Opts) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     uint64_t Value = 0;
-    if (Arg.rfind("--pipeline=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--pipeline="));
-      if (Name == "new")
-        Opts.Service.Pipeline = PipelineKind::New;
-      else if (Name == "standard")
-        Opts.Service.Pipeline = PipelineKind::Standard;
-      else if (Name == "briggs")
-        Opts.Service.Pipeline = PipelineKind::Briggs;
-      else if (Name == "briggs*")
-        Opts.Service.Pipeline = PipelineKind::BriggsImproved;
-      else {
-        std::fprintf(stderr, "unknown pipeline '%s'\n", Name.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--analysis=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--analysis="));
-      if (!parseAnalysisStrategy(Name, Opts.Service.Analyses)) {
-        std::fprintf(stderr, "unknown analysis strategy '%s'\n", Name.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--machine=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--machine="));
-      MachineModel MM;
-      if (!parseMachineModel(Name, MM)) {
-        std::fprintf(stderr, "unknown machine model '%s'\n", Name.c_str());
-        return false;
-      }
-      Opts.Service.Machine = std::move(MM);
-    } else if (Arg.rfind("--passes=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--passes="));
-      std::string BadToken;
-      if (!parsePassSequence(Name, Opts.Service.Passes, &BadToken)) {
-        std::fprintf(stderr, "unknown pass '%s' (known passes: %s)\n",
-                     BadToken.c_str(), knownPassNames());
-        return false;
-      }
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
+    std::string Error;
+    FlagParse Shared = parseServiceFlag(Arg, Opts.Service, Error);
+    if (Shared == FlagParse::Invalid) {
+      std::fprintf(stderr, "%s\n", Error.c_str());
+      return false;
+    }
+    if (Shared == FlagParse::Parsed)
+      continue;
+    if (Arg.rfind("--jobs=", 0) == 0) {
       // parseUint64Arg rejects a sign outright, so --jobs=-1 can never wrap
       // into a huge thread count; the explicit range check keeps the later
       // static_cast<unsigned> lossless.
@@ -188,10 +154,6 @@ bool parseArgs(int Argc, char **Argv, BatchOptions &Opts) {
     } else if (Arg == "--stats") {
       Opts.ShowStats = true;
       Opts.Service.CollectStats = true;
-    } else if (Arg == "--check") {
-      Opts.Service.CheckPartition = true;
-    } else if (Arg == "--strict") {
-      Opts.Service.EnforceStrictness = true;
     } else if (Arg == "--quiet") {
       Opts.Quiet = true;
     } else if (Arg.rfind("--max-instructions=", 0) == 0) {
@@ -241,23 +203,14 @@ int main(int Argc, char **Argv) {
   BatchOptions Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return usage(Argv[0]);
-  if (Opts.Service.CheckPartition &&
-      Opts.Service.Pipeline != PipelineKind::New) {
-    std::fprintf(stderr, "--check requires --pipeline=new\n");
-    return 2;
-  }
-  if (!Opts.Service.Passes.empty() &&
-      (Opts.Service.Pipeline == PipelineKind::Briggs ||
-       Opts.Service.Pipeline == PipelineKind::BriggsImproved)) {
-    std::fprintf(stderr,
-                 "--passes is not supported with the Briggs pipelines "
-                 "(live-range webs assume unoptimized SSA)\n");
+  std::string Error;
+  if (!validateServiceOptions(Opts.Service, Error)) {
+    std::fprintf(stderr, "%s\n", Error.c_str());
     return 2;
   }
 
   std::vector<WorkUnit> Units;
   for (const std::string &Path : Opts.Paths) {
-    std::string Error;
     if (!collectUnits(Path, Units, Error)) {
       std::fprintf(stderr, "%s\n", Error.c_str());
       return 2;

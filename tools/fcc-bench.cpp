@@ -10,11 +10,6 @@
 //
 //   --suite=NAME   which suite to run (required): 'ci' is the perf gate's
 //                  workload, 'smoke' a seconds-long variant for ctest
-//   --analysis=fast|legacy|dsu+sparse|chk+dense|dsu+dense|chk+sparse
-//                  analysis strategy for the pipeline/* benchmarks (default
-//                  fast); the per-analysis benchmarks (domtree/build,
-//                  liveness/solve, liveness/sparse_solve) pin their own
-//                  algorithm so A/B artifacts stay comparable
 //   --out=PATH     write the JSON report to PATH ('-' for stdout, default)
 //   --warmup=N     override the suite's warmup iterations
 //   --repeats=N    override the suite's timed repetitions
@@ -51,8 +46,12 @@
 // coalescing, e.g. "sccp,adce,pre"); base rows omit it, keeping their
 // bytes identical to the pre-pass-layer schema.
 //
-// Exit status: 0 ok (quality mode: and no divergence/allocation failure),
-// 2 usage/setup error.
+// peak_bytes is the deterministic byte footprint of what one iteration
+// built; for the server/* rows it is the largest per-function PeakBytes of
+// the batch (cache hits report the published record's).
+//
+// Exit status: 0 ok, 1 a quality row diverged or failed to allocate, or a
+// server/* batch had a failed unit, 2 usage/setup error.
 //
 //===----------------------------------------------------------------------===//
 
@@ -81,9 +80,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -158,12 +157,19 @@ std::string scaleTag(const SuiteParams &P) {
          std::to_string(P.GenBudget);
 }
 
+/// The largest per-function PeakBytes of a server/* batch. A failed unit
+/// throws: a batch that skipped work must not be timed as a fast one.
+size_t batchPeakBytes(const BatchReport &R) {
+  BatchTotals T = R.totals();
+  if (T.Failed != 0)
+    throw std::runtime_error(std::to_string(T.Failed) + " of " +
+                             std::to_string(T.Units) + " units failed");
+  return T.MaxPeakBytes;
+}
+
 /// Builds the benchmark list for \p P. Every suite runs the same names so
-/// baselines stay comparable; only the workload sizes differ. \p Analyses
-/// backs the pipeline/* runs; the per-analysis benchmarks pin their own
-/// algorithm regardless.
-std::vector<Benchmark> buildSuite(const SuiteParams &P,
-                                  AnalysisStrategy Analyses) {
+/// baselines stay comparable; only the workload sizes differ.
+std::vector<Benchmark> buildSuite(const SuiteParams &P) {
   std::vector<Benchmark> Benches;
   std::string Tag = scaleTag(P);
 
@@ -172,15 +178,12 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P,
   auto AddPipeline = [&](const char *Name, PipelineKind Kind) {
     auto Specs =
         std::make_shared<std::vector<RoutineSpec>>(paperSuite(P.PaperRoutines));
-    Benches.push_back({Name, Tag, [Specs, Kind, Analyses]() -> size_t {
+    Benches.push_back({Name, Tag, [Specs, Kind]() -> size_t {
                          size_t Peak = 0;
-                         PipelineOptions Opts;
-                         Opts.Kind = Kind;
-                         Opts.Analyses = Analyses;
                          for (const RoutineSpec &Spec : *Specs) {
                            auto M = Spec.materialize();
                            for (auto &F : M->functions()) {
-                             PipelineResult R = runPipeline(*F, Opts);
+                             PipelineResult R = runPipeline(*F, Kind);
                              Peak = std::max(Peak, R.PeakBytes);
                            }
                          }
@@ -199,8 +202,7 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P,
   // the dense fixed point, sparse_solve the per-variable def-use walk, so
   // one artifact carries the head-to-head the A/B methodology in
   // EXPERIMENTS.md reads off. domtree/build likewise pins the DSU
-  // algorithm (the CHK cost is visible through pipeline/* under
-  // --analysis=legacy).
+  // algorithm.
   Benches.push_back({"liveness/solve", Tag, [Fix]() -> size_t {
                        Liveness LV(*Fix->F, LivenessAlgorithm::Dense);
                        return LV.bytes();
@@ -261,9 +263,8 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P,
                              ResultCache::Options{64u << 20, /*Shards=*/4});
                          ServiceOptions Opts = SO;
                          Opts.Cache = &Cache;
-                         CompilationService Service(Opts);
-                         BatchReport R = Service.run(*Units);
-                         return Cache.occupancy().Bytes + R.totals().Failed;
+                         return batchPeakBytes(
+                             CompilationService(Opts).run(*Units));
                        }});
 
     auto WarmCache = std::make_shared<ResultCache>(
@@ -277,9 +278,8 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P,
                        [Units, SO, WarmCache]() -> size_t {
                          ServiceOptions Opts = SO;
                          Opts.Cache = WarmCache.get();
-                         CompilationService Service(Opts);
-                         BatchReport R = Service.run(*Units);
-                         return R.totals().Functions;
+                         return batchPeakBytes(
+                             CompilationService(Opts).run(*Units));
                        }});
   }
 
@@ -553,9 +553,9 @@ void writeJson(std::FILE *Out, const std::string &Suite, unsigned Warmup,
 
 int usage(const char *Argv0) {
   std::fprintf(stderr,
-               "usage: %s --suite=ci|smoke [--analysis=fast|legacy|...]\n"
-               "       [--out=PATH] [--warmup=N] [--repeats=N] [--quality] "
-               "[--list]\n",
+               "usage: %s --suite=ci|smoke [--out=PATH] [--warmup=N] "
+               "[--repeats=N]\n"
+               "       [--quality] [--list]\n",
                Argv0);
   return 2;
 }
@@ -567,19 +567,11 @@ int main(int Argc, char **Argv) {
   int64_t WarmupOverride = -1, RepeatsOverride = -1;
   bool ListOnly = false;
   bool Quality = false;
-  AnalysisStrategy Analyses;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg.rfind("--suite=", 0) == 0) {
       Suite = Arg.substr(8);
-    } else if (Arg.rfind("--analysis=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--analysis="));
-      if (!parseAnalysisStrategy(Name, Analyses)) {
-        std::fprintf(stderr, "fcc-bench: unknown analysis strategy '%s'\n",
-                     Name.c_str());
-        return 2;
-      }
     } else if (Arg.rfind("--out=", 0) == 0) {
       OutPath = Arg.substr(6);
     } else if (Arg.rfind("--warmup=", 0) == 0) {
@@ -658,7 +650,7 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  std::vector<Benchmark> Benches = buildSuite(Params, Analyses);
+  std::vector<Benchmark> Benches = buildSuite(Params);
   if (ListOnly) {
     for (const Benchmark &B : Benches)
       std::printf("%s (%s)\n", B.Name.c_str(), B.Workload.c_str());
@@ -668,8 +660,14 @@ int main(int Argc, char **Argv) {
   InstructionCounter Counter;
   std::vector<BenchRecord> Records;
   Records.reserve(Benches.size());
-  for (const Benchmark &B : Benches)
-    Records.push_back(measure(B, Params.Warmup, Params.Repeats, Counter));
+  for (const Benchmark &B : Benches) {
+    try {
+      Records.push_back(measure(B, Params.Warmup, Params.Repeats, Counter));
+    } catch (const std::exception &E) {
+      std::fprintf(stderr, "fcc-bench: %s: %s\n", B.Name.c_str(), E.what());
+      return 1;
+    }
+  }
 
   std::FILE *Out = stdout;
   if (OutPath != "-") {

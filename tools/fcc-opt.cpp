@@ -1,16 +1,12 @@
 //===- tools/fcc-opt.cpp - Command-line driver ----------------------------===//
 //
 // Standalone driver: read a textual-IR file, run one of the paper's
-// SSA-round-trip pipelines over every function, optionally clean up and
-// execute, and print the result.
+// SSA-round-trip pipelines over every function, optionally execute, and
+// print the result.
 //
 //   fcc-opt FILE.ir [options]
 //
 //   --pipeline=new|standard|briggs|briggs*   conversion to run (default new)
-//   --analysis=fast|legacy|dsu+sparse|chk+dense|dsu+dense|chk+sparse
-//                     dominator / liveness implementations backing the
-//                     pipeline (default fast = dsu+sparse); output is
-//                     byte-identical across choices, only build time moves
 //   --machine=uniformN|dsp|embedded
 //                     run the register allocator after the pipeline: color
 //                     against that machine's banks, inserting spill/reload
@@ -20,35 +16,32 @@
 //                     are rejected listing the known passes
 //   --ssa-only        stop in SSA form (pruned, copies folded) and print it
 //   --no-fold         build SSA without copy folding (with --ssa-only)
-//   --copyprop        run local copy propagation after the pipeline
-//   --dce             run dead-code elimination after the pipeline
 //   --strict          insert entry initializations for non-strict inputs
 //   --check           validate the coalescer's partition with the
 //                     independent CoalescingChecker (new pipeline)
-//   --trace           narrate the coalescer's decisions (new pipeline)
+//   --trace           narrate the coalescer's decisions on stderr (new
+//                     pipeline)
 //   --trace=PATH      write a Chrome trace (chrome://tracing / Perfetto)
 //                     of every pipeline phase to PATH
 //   --stats           print per-function and per-phase statistics
 //   --run ARGS...     execute each function on the integer ARGS
 //
+// The --pipeline, --machine, --passes, --check and --strict flags are the
+// ones fcc-batch and fcc-served share (parseServiceFlag).
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CFGUtils.h"
 #include "analysis/DominatorTree.h"
-#include "analysis/Liveness.h"
-#include "coalesce/CoalescingChecker.h"
-#include "coalesce/FastCoalescer.h"
 #include "interp/Interpreter.h"
 #include "ir/Function.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
-#include "opt/CopyPropagation.h"
-#include "opt/DeadCodeElim.h"
 #include "opt/PassManager.h"
 #include "pipeline/Pipeline.h"
-#include "regalloc/SpillRewriter.h"
+#include "service/CompilationService.h"
 #include "ssa/SSABuilder.h"
 #include "support/ArgParse.h"
 #include "support/Stats.h"
@@ -69,17 +62,11 @@ namespace {
 
 struct DriverOptions {
   std::string InputPath;
-  std::optional<PipelineKind> Pipeline = PipelineKind::New;
-  AnalysisStrategy Analyses;
-  std::optional<MachineModel> Machine;
-  std::vector<PassKind> Passes;
+  /// The shared flags: pipeline, machine, passes, --check and --strict.
+  ServiceOptions Shared;
   bool SsaOnly = false;
   bool NoFold = false;
-  bool CopyProp = false;
-  bool Dce = false;
-  bool Strict = false;
-  bool Check = false;
-  bool Trace = false;
+  bool Narrate = false;
   bool Stats = false;
   bool Execute = false;
   std::string TracePath;
@@ -89,12 +76,10 @@ struct DriverOptions {
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s FILE.ir [--pipeline=new|standard|briggs|briggs*]\n"
-               "       [--analysis=fast|legacy|dsu+sparse|chk+dense|"
-               "dsu+dense|chk+sparse]\n"
                "       [--machine=uniformN|dsp|embedded] "
                "[--passes=sccp,adce,pre]\n"
-               "       [--ssa-only] [--no-fold] [--copyprop] [--dce] "
-               "[--strict] [--check] [--trace] [--trace=PATH] [--stats]\n"
+               "       [--ssa-only] [--no-fold] [--strict] [--check] "
+               "[--trace] [--trace=PATH] [--stats]\n"
                "       [--run ARGS...]\n",
                Argv0);
   return 2;
@@ -103,60 +88,24 @@ int usage(const char *Argv0) {
 bool parseArgs(int Argc, char **Argv, DriverOptions &Opts) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg == "--ssa-only")
+    std::string Error;
+    FlagParse Shared = parseServiceFlag(Arg, Opts.Shared, Error);
+    if (Shared == FlagParse::Invalid) {
+      std::fprintf(stderr, "%s\n", Error.c_str());
+      return false;
+    }
+    if (Shared == FlagParse::Parsed)
+      continue;
+    if (Arg == "--ssa-only") {
       Opts.SsaOnly = true;
-    else if (Arg == "--no-fold")
+    } else if (Arg == "--no-fold") {
       Opts.NoFold = true;
-    else if (Arg == "--copyprop")
-      Opts.CopyProp = true;
-    else if (Arg == "--dce")
-      Opts.Dce = true;
-    else if (Arg == "--strict")
-      Opts.Strict = true;
-    else if (Arg == "--check")
-      Opts.Check = true;
-    else if (Arg == "--trace")
-      Opts.Trace = true;
-    else if (Arg.rfind("--trace=", 0) == 0)
+    } else if (Arg == "--trace") {
+      Opts.Narrate = true;
+    } else if (Arg.rfind("--trace=", 0) == 0) {
       Opts.TracePath = Arg.substr(std::strlen("--trace="));
-    else if (Arg == "--stats")
+    } else if (Arg == "--stats") {
       Opts.Stats = true;
-    else if (Arg.rfind("--pipeline=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--pipeline="));
-      if (Name == "new")
-        Opts.Pipeline = PipelineKind::New;
-      else if (Name == "standard")
-        Opts.Pipeline = PipelineKind::Standard;
-      else if (Name == "briggs")
-        Opts.Pipeline = PipelineKind::Briggs;
-      else if (Name == "briggs*")
-        Opts.Pipeline = PipelineKind::BriggsImproved;
-      else {
-        std::fprintf(stderr, "unknown pipeline '%s'\n", Name.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--analysis=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--analysis="));
-      if (!parseAnalysisStrategy(Name, Opts.Analyses)) {
-        std::fprintf(stderr, "unknown analysis strategy '%s'\n", Name.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--machine=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--machine="));
-      MachineModel MM;
-      if (!parseMachineModel(Name, MM)) {
-        std::fprintf(stderr, "unknown machine model '%s'\n", Name.c_str());
-        return false;
-      }
-      Opts.Machine = std::move(MM);
-    } else if (Arg.rfind("--passes=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--passes="));
-      std::string BadToken;
-      if (!parsePassSequence(Name, Opts.Passes, &BadToken)) {
-        std::fprintf(stderr, "unknown pass '%s' (known passes: %s)\n",
-                     BadToken.c_str(), knownPassNames());
-        return false;
-      }
     } else if (Arg == "--run") {
       Opts.Execute = true;
       for (++I; I < Argc; ++I) {
@@ -183,22 +132,16 @@ int main(int Argc, char **Argv) {
   DriverOptions Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return usage(Argv[0]);
-  if (Opts.Check && (Opts.SsaOnly || Opts.Pipeline != PipelineKind::New)) {
-    std::fprintf(stderr,
-                 "--check validates a coalescing partition; it requires "
-                 "--pipeline=new (without --ssa-only)\n");
+  const ServiceOptions &Shared = Opts.Shared;
+  std::string Error;
+  if (!validateServiceOptions(Shared, Error)) {
+    std::fprintf(stderr, "%s\n", Error.c_str());
     return 2;
   }
-  if (Opts.Machine && Opts.SsaOnly) {
-    std::fprintf(stderr, "--machine allocates phi-free code; it cannot be "
-                         "combined with --ssa-only\n");
-    return 2;
-  }
-  if (!Opts.Passes.empty() && (Opts.Pipeline == PipelineKind::Briggs ||
-                               Opts.Pipeline == PipelineKind::BriggsImproved)) {
-    std::fprintf(stderr,
-                 "--passes is not supported with the Briggs pipelines "
-                 "(live-range webs assume unoptimized SSA)\n");
+  if (Opts.SsaOnly && (Shared.CheckPartition || Shared.Machine)) {
+    std::fprintf(stderr, "--check and --machine work on the pipeline's "
+                         "phi-free output; they cannot be combined with "
+                         "--ssa-only\n");
     return 2;
   }
 
@@ -210,7 +153,6 @@ int main(int Argc, char **Argv) {
   std::stringstream Buffer;
   Buffer << In.rdbuf();
 
-  std::string Error;
   std::unique_ptr<Module> M = parseModule(Buffer.str(), Error);
   if (!M) {
     std::fprintf(stderr, "%s: %s\n", Opts.InputPath.c_str(), Error.c_str());
@@ -218,7 +160,8 @@ int main(int Argc, char **Argv) {
   }
 
   // Observability sinks: a stats registry behind --stats, a Chrome-trace
-  // writer behind --trace=PATH. Either one instruments the pipeline runs.
+  // writer behind --trace=PATH, the coalescer's narration behind --trace.
+  // Any one of them instruments the pipeline runs.
   std::optional<StatsRegistry> Registry;
   if (Opts.Stats)
     Registry.emplace();
@@ -228,12 +171,14 @@ int main(int Argc, char **Argv) {
   Instrumentation Instr;
   Instr.Stats = Registry ? &*Registry : nullptr;
   Instr.Trace = TraceJson ? &*TraceJson : nullptr;
+  Instr.Narrate = Opts.Narrate ? stderr : nullptr;
   Instr.Unit = Opts.InputPath;
-  const bool Observe = Instr.active();
+  const Instrumentation *InstrPtr =
+      Instr.active() || Instr.Narrate ? &Instr : nullptr;
 
   for (const auto &FPtr : M->functions()) {
     Function &F = *FPtr;
-    if (Opts.Strict)
+    if (Shared.EnforceStrictness)
       enforceStrictness(F);
     if (!verifyFunction(F, Error)) {
       std::fprintf(stderr, "@%s does not verify: %s\n", F.name().c_str(),
@@ -248,95 +193,36 @@ int main(int Argc, char **Argv) {
       return 1;
     }
 
+    Instr.Function = F.name();
     if (Opts.SsaOnly) {
       splitCriticalEdges(F);
-      DominatorTree DT(F, Opts.Analyses.Dominators);
+      DominatorTree DT(F, Shared.Analyses.Dominators);
       SSABuildOptions Build;
       Build.FoldCopies = !Opts.NoFold;
       SSABuildStats Stats = buildSSA(F, DT, Build);
       if (Opts.Stats)
         std::printf("; @%s: %u phis, %u copies folded\n", F.name().c_str(),
                     Stats.PhisInserted, Stats.CopiesFolded);
-      if (!Opts.Passes.empty()) {
-        Instr.Function = F.name();
+      if (!Shared.Passes.empty()) {
         PassManagerOptions PM;
-        PM.Instr = Observe ? &Instr : nullptr;
-        PassStats PS = runPassSequence(F, Opts.Passes, PM);
+        PM.Instr = InstrPtr;
+        PassStats PS = runPassSequence(F, Shared.Passes, PM);
         if (Opts.Stats)
           std::printf("; @%s: passes folded %u consts, forwarded %u copies, "
                       "removed %u insts + %u phis, hoisted %u\n",
                       F.name().c_str(), PS.SccpConstants, PS.SccpCopies,
                       PS.InstsRemoved, PS.PhisRemoved, PS.PreHoisted);
       }
-    } else if (Opts.Pipeline == PipelineKind::New &&
-               (Opts.Trace || Opts.Check)) {
-      // Expanded so the coalescer can narrate and the partition can be
-      // audited before it rewrites anything.
-      splitCriticalEdges(F);
-      std::optional<DominatorTree> DT;
-      DT.emplace(F, Opts.Analyses.Dominators);
-      SSABuildOptions Build;
-      Build.FoldCopies = true;
-      buildSSA(F, *DT, Build);
-      if (!Opts.Passes.empty()) {
-        // Same stage order as the pipeline: optimize the SSA form, then
-        // re-split edges and rebuild dominance for the coalescer.
-        Instr.Function = F.name();
-        PassManagerOptions PM;
-        PM.Instr = Observe ? &Instr : nullptr;
-        runPassSequence(F, Opts.Passes, PM);
-        splitCriticalEdges(F);
-        DT.emplace(F, Opts.Analyses.Dominators);
-      }
-      Liveness LV(F, Opts.Analyses.Liveness);
-      FastCoalescerOptions Coalesce;
-      if (Opts.Trace)
-        Coalesce.Trace = stderr;
-      Instr.Function = F.name();
-      Coalesce.Instr = Observe ? &Instr : nullptr;
-      FastCoalescer Coalescer(F, *DT, LV, Coalesce);
-      Coalescer.computePartition();
-      if (Opts.Check) {
-        std::string CheckError;
-        if (!checkCoalescing(
-                F, LV, [&](const Variable *V) { return Coalescer.rep(V); },
-                CheckError)) {
-          std::fprintf(stderr, "@%s: coalescing check FAILED: %s\n",
-                       F.name().c_str(), CheckError.c_str());
-          return 1;
-        }
-        if (Opts.Stats)
-          std::printf("; @%s: coalescing check passed\n", F.name().c_str());
-      }
-      Coalescer.rewrite();
-      if (Opts.Machine) {
-        // The expanded path ends where the pipeline would, so allocation
-        // runs on the same phi-free code the one-shot path produces.
-        SpillRewriteOptions SR;
-        SR.Machine = *Opts.Machine;
-        try {
-          SpillRewriteResult R = insertSpillCode(F, SR);
-          if (Opts.Stats)
-            std::printf("; @%s: %u registers, %u spill stores, %u reloads, "
-                        "%u ranges split, %u regalloc iterations\n",
-                        F.name().c_str(), R.Alloc.RegistersUsed, R.SpillStores,
-                        R.Reloads, R.RangesSplit, R.Iterations);
-        } catch (const std::exception &E) {
-          std::fprintf(stderr, "@%s: %s\n", F.name().c_str(), E.what());
-          return 1;
-        }
-      }
     } else {
-      Instr.Function = F.name();
-      PipelineOptions Pipe;
-      Pipe.Kind = *Opts.Pipeline;
-      Pipe.Analyses = Opts.Analyses;
-      Pipe.Machine = Opts.Machine ? &*Opts.Machine : nullptr;
-      Pipe.Passes = Opts.Passes;
-      Pipe.Instr = Observe ? &Instr : nullptr;
+      PipelineOptions Pipe = pipelineOptionsFor(Shared);
+      Pipe.Instr = InstrPtr;
       PipelineResult Result;
       try {
         Result = runPipeline(F, Pipe);
+      } catch (const PartitionRefuted &E) {
+        std::fprintf(stderr, "@%s: coalescing check FAILED: %s\n",
+                     F.name().c_str(), E.what());
+        return 1;
       } catch (const std::exception &E) {
         std::fprintf(stderr, "@%s: %s\n", F.name().c_str(), E.what());
         return 1;
@@ -344,10 +230,12 @@ int main(int Argc, char **Argv) {
       if (Opts.Stats) {
         std::printf("; @%s (%s): %u us, %u phis, %u copies left, peak %zu "
                     "bytes\n",
-                    F.name().c_str(), pipelineName(*Opts.Pipeline),
+                    F.name().c_str(), pipelineName(Shared.Pipeline),
                     static_cast<unsigned>(Result.TimeMicros),
                     Result.PhisInserted, Result.StaticCopies,
                     Result.PeakBytes);
+        if (Shared.CheckPartition)
+          std::printf("; @%s: coalescing check passed\n", F.name().c_str());
         if (Result.Allocated)
           std::printf("; @%s: %u registers, %u spill stores, %u reloads, "
                       "%u ranges split, %u regalloc iterations\n",
@@ -364,19 +252,6 @@ int main(int Argc, char **Argv) {
       }
     }
 
-    if (Opts.CopyProp) {
-      unsigned Retargeted = propagateCopiesLocally(F);
-      if (Opts.Stats)
-        std::printf("; @%s: copy propagation retargeted %u uses\n",
-                    F.name().c_str(), Retargeted);
-    }
-    if (Opts.Dce) {
-      unsigned Removed = eliminateDeadCode(F);
-      if (Opts.Stats)
-        std::printf("; @%s: DCE removed %u instructions\n", F.name().c_str(),
-                    Removed);
-    }
-
     if (!verifyFunction(F, Error)) {
       std::fprintf(stderr, "internal error: output does not verify: %s\n",
                    Error.c_str());
@@ -389,7 +264,7 @@ int main(int Argc, char **Argv) {
       ExecutionResult R = Interpreter().run(F, Opts.RunArgs);
       if (!R.Completed) {
         std::printf("; @%s: hit the step limit\n", F.name().c_str());
-      } else if (Opts.Machine) {
+      } else if (Shared.Machine) {
         std::printf("; @%s(...) = %lld  (%llu instructions, %llu copies, "
                     "%llu spill ops)\n",
                     F.name().c_str(),

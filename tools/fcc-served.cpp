@@ -76,6 +76,14 @@ bool parseArgs(int Argc, char **Argv, Server::Options &Opts, bool &Quiet) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     uint64_t Value = 0;
+    std::string Error;
+    FlagParse Shared = parseServiceFlag(Arg, Opts.Service, Error);
+    if (Shared == FlagParse::Invalid) {
+      std::fprintf(stderr, "%s\n", Error.c_str());
+      return false;
+    }
+    if (Shared == FlagParse::Parsed)
+      continue;
     if (Arg.rfind("--socket=", 0) == 0) {
       Opts.SocketPath = Arg.substr(std::strlen("--socket="));
     } else if (Arg.rfind("--jobs=", 0) == 0) {
@@ -101,40 +109,6 @@ bool parseArgs(int Argc, char **Argv, Server::Options &Opts, bool &Quiet) {
         return false;
       }
       Opts.MaxQueue = static_cast<unsigned>(Value);
-    } else if (Arg.rfind("--pipeline=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--pipeline="));
-      if (Name == "new")
-        Opts.Service.Pipeline = PipelineKind::New;
-      else if (Name == "standard")
-        Opts.Service.Pipeline = PipelineKind::Standard;
-      else if (Name == "briggs")
-        Opts.Service.Pipeline = PipelineKind::Briggs;
-      else if (Name == "briggs*")
-        Opts.Service.Pipeline = PipelineKind::BriggsImproved;
-      else {
-        std::fprintf(stderr, "unknown pipeline '%s'\n", Name.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--machine=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--machine="));
-      MachineModel MM;
-      if (!parseMachineModel(Name, MM)) {
-        std::fprintf(stderr, "unknown machine model '%s'\n", Name.c_str());
-        return false;
-      }
-      Opts.Service.Machine = std::move(MM);
-    } else if (Arg.rfind("--passes=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--passes="));
-      std::string BadToken;
-      if (!parsePassSequence(Name, Opts.Service.Passes, &BadToken)) {
-        std::fprintf(stderr, "unknown pass '%s' (known passes: %s)\n",
-                     BadToken.c_str(), knownPassNames());
-        return false;
-      }
-    } else if (Arg == "--check") {
-      Opts.Service.CheckPartition = true;
-    } else if (Arg == "--strict") {
-      Opts.Service.EnforceStrictness = true;
     } else if (Arg.rfind("--max-instructions=", 0) == 0) {
       if (!parseUint64Arg(Arg.substr(std::strlen("--max-instructions=")),
                           Value) ||
@@ -173,22 +147,13 @@ int main(int Argc, char **Argv) {
   bool Quiet = false;
   if (!parseArgs(Argc, Argv, Opts, Quiet))
     return usage(Argv[0]);
-  if (Opts.Service.CheckPartition &&
-      Opts.Service.Pipeline != PipelineKind::New) {
-    std::fprintf(stderr, "--check requires --pipeline=new\n");
-    return 2;
-  }
-  if (!Opts.Service.Passes.empty() &&
-      (Opts.Service.Pipeline == PipelineKind::Briggs ||
-       Opts.Service.Pipeline == PipelineKind::BriggsImproved)) {
-    std::fprintf(stderr,
-                 "--passes is not supported with the Briggs pipelines "
-                 "(live-range webs assume unoptimized SSA)\n");
+  std::string Error;
+  if (!validateServiceOptions(Opts.Service, Error)) {
+    std::fprintf(stderr, "%s\n", Error.c_str());
     return 2;
   }
 
   Server Daemon(Opts);
-  std::string Error;
   if (!Daemon.start(Error)) {
     std::fprintf(stderr, "fcc-served: %s\n", Error.c_str());
     return 2;
