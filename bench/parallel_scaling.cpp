@@ -12,59 +12,77 @@
 //   parallel_scaling [--units=N] [--seed=S] [--jobs=A,B,...]
 //                    [--pipeline=new|standard|briggs|briggs*]
 //
+// Exit status: 0 deterministic with no unit failures, 1 otherwise, 2 on a
+// bad argument.
+//
 //===----------------------------------------------------------------------===//
 
 #include "service/CompilationService.h"
 #include "service/WorkUnit.h"
+#include "support/ArgParse.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 using namespace fcc;
 
+namespace {
+
+/// Parses \p Text as an unsigned count that fits in `unsigned`.
+bool parseCount(const std::string &Text, unsigned &Out) {
+  uint64_t Value = 0;
+  if (!parseUint64Arg(Text, Value) ||
+      Value > std::numeric_limits<unsigned>::max())
+    return false;
+  Out = static_cast<unsigned>(Value);
+  return true;
+}
+
+} // namespace
+
 int main(int Argc, char **Argv) {
   unsigned UnitCount = 256;
   uint64_t Seed = 1;
   std::vector<unsigned> JobCounts = {1, 2, 4, 8};
-  PipelineKind Kind = PipelineKind::New;
+  ServiceOptions Flags; // Only --pipeline= is read from here.
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    bool Ok = true;
     if (Arg.rfind("--units=", 0) == 0) {
-      UnitCount = static_cast<unsigned>(std::strtoul(Arg.c_str() + 8,
-                                                     nullptr, 10));
+      Ok = parseCount(Arg.substr(8), UnitCount);
     } else if (Arg.rfind("--seed=", 0) == 0) {
-      Seed = std::strtoull(Arg.c_str() + 7, nullptr, 10);
+      Ok = parseUint64Arg(Arg.substr(7), Seed);
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       JobCounts.clear();
-      const char *P = Arg.c_str() + 7;
-      while (*P) {
-        JobCounts.push_back(static_cast<unsigned>(std::strtoul(P, nullptr,
-                                                               10)));
-        P = std::strchr(P, ',');
-        if (!P)
-          break;
-        ++P;
-      }
+      const std::string List = Arg.substr(7);
+      size_t Start = 0, Comma;
+      do {
+        Comma = List.find(',', Start);
+        JobCounts.push_back(0);
+        Ok = Ok && parseCount(List.substr(Start, Comma - Start),
+                              JobCounts.back());
+        Start = Comma + 1;
+      } while (Comma != std::string::npos);
     } else if (Arg.rfind("--pipeline=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--pipeline="));
-      if (Name == "standard")
-        Kind = PipelineKind::Standard;
-      else if (Name == "briggs")
-        Kind = PipelineKind::Briggs;
-      else if (Name == "briggs*")
-        Kind = PipelineKind::BriggsImproved;
-      else
-        Kind = PipelineKind::New;
+      std::string Error;
+      if (parseServiceFlag(Arg, Flags, Error) == FlagParse::Invalid) {
+        std::fprintf(stderr, "%s\n", Error.c_str());
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", Arg.c_str());
       return 2;
     }
+    if (!Ok) {
+      std::fprintf(stderr, "bad value in '%s'\n", Arg.c_str());
+      return 2;
+    }
   }
+  const PipelineKind Kind = Flags.Pipeline;
 
   std::vector<WorkUnit> Corpus = generatedCorpus(UnitCount, Seed);
   std::printf("Parallel scaling: %u generated units, %s pipeline, "

@@ -7,12 +7,15 @@
 /// numbering is computed once per function regardless of how many dominance
 /// forests are built over it.
 ///
-/// Two interchangeable algorithms compute the idoms: the Cooper–Harvey–
-/// Kennedy iterative fixed point (the original implementation) and the
-/// near-linear disjoint-set-union scheme (analysis/DSUDominators.h). The
-/// dominator tree of a CFG is unique and both run off the same DFS and feed
-/// the same decoration pass, so the choice is observable only in build time
-/// — every table below is bit-identical across algorithms.
+/// One builder computes every dominator tree in the library: an iterative
+/// depth-first search over a rooted flow graph (the CFG from its entry, or
+/// the reverse CFG from a virtual exit for computePostDominators) feeds the
+/// near-linear semidominator / SemiNCA scheme of "Finding Dominators via
+/// Disjoint Set Union". The Cooper–Harvey–Kennedy iterative fixed point
+/// runs off the same search only where DomAlgorithm::CHK is named: it is
+/// the reference the tests and the differential oracle check DSU against.
+/// Dominator trees are unique, so every table below is bit-identical
+/// across the two.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,9 +32,9 @@ class BasicBlock;
 class Function;
 
 /// Which algorithm computes the immediate dominators. Both yield the same
-/// decorated tree; see the file comment.
+/// tree; see the file comment.
 enum class DomAlgorithm : unsigned char {
-  CHK, ///< Cooper–Harvey–Kennedy iterative fixed point.
+  CHK, ///< Cooper–Harvey–Kennedy iterative fixed point (the reference).
   DSU, ///< Semidominators via link-eval disjoint set union + SemiNCA.
 };
 
@@ -43,7 +46,7 @@ enum class DomAlgorithm : unsigned char {
 class DominatorTree {
 public:
   explicit DominatorTree(const Function &F,
-                         DomAlgorithm Algo = DomAlgorithm::CHK);
+                         DomAlgorithm Algo = DomAlgorithm::DSU);
 
   const Function &function() const { return F; }
 
@@ -101,6 +104,14 @@ private:
   std::vector<unsigned> MaxPreorder;  // indexed by block id
   std::vector<BasicBlock *> PreorderBlocks;
 };
+
+/// Immediate postdominators of \p F's blocks: the dominator builder run over
+/// the reverse CFG, rooted at a virtual exit that every `ret` block flows
+/// into. On success IPdom[block id] is the block's immediate postdominator,
+/// or null when that is the virtual exit. Returns false when some block
+/// cannot reach a return (an infinite loop), leaving IPdom unspecified.
+bool computePostDominators(const Function &F, std::vector<BasicBlock *> &IPdom,
+                           DomAlgorithm Algo = DomAlgorithm::DSU);
 
 } // namespace fcc
 

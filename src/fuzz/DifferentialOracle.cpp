@@ -198,22 +198,24 @@ bool runConfig(Function &F, const OracleConfig &C, std::string &Error) {
 }
 
 /// Direct analysis cross-validation: on one fresh copy of the function,
-/// build dominators with both algorithms and liveness (over pruned+fold
-/// SSA) with both solvers, and demand bit-identical results — idom,
-/// preorder and max-preorder per block, every live-in/live-out word per
-/// block. Catches any divergence long before it could bias a pipeline
-/// comparison. Returns false with \p Detail set to the first disagreement.
+/// build dominators and (when every block reaches a return) postdominators
+/// with both algorithms, and liveness (over pruned+fold SSA) with both
+/// solvers, and demand bit-identical results — idom, ipdom, preorder and
+/// max-preorder per block, every live-in/live-out word per block. Catches
+/// any divergence long before it could bias a pipeline comparison. Returns
+/// false with \p Detail set to the first disagreement.
 bool crossValidateAnalyses(Function &F, std::string &Detail) {
   splitCriticalEdges(F);
+  auto Name = [](const BasicBlock *D, const char *Null) {
+    return D ? D->name() : std::string(Null);
+  };
   DominatorTree Chk(F, DomAlgorithm::CHK);
   DominatorTree Dsu(F, DomAlgorithm::DSU);
   for (const auto &B : F.blocks()) {
     if (Chk.idom(B.get()) != Dsu.idom(B.get())) {
-      auto Name = [](BasicBlock *D) {
-        return D ? D->name() : std::string("<none>");
-      };
-      Detail = "idom(" + B->name() + "): CHK " + Name(Chk.idom(B.get())) +
-               " != DSU " + Name(Dsu.idom(B.get()));
+      Detail = "idom(" + B->name() + "): CHK " +
+               Name(Chk.idom(B.get()), "<none>") + " != DSU " +
+               Name(Dsu.idom(B.get()), "<none>");
       return false;
     }
     if (Chk.preorder(B.get()) != Dsu.preorder(B.get()) ||
@@ -226,6 +228,16 @@ bool crossValidateAnalyses(Function &F, std::string &Detail) {
       return false;
     }
   }
+  std::vector<BasicBlock *> ChkPdom, DsuPdom;
+  if (computePostDominators(F, ChkPdom, DomAlgorithm::CHK) &&
+      computePostDominators(F, DsuPdom, DomAlgorithm::DSU))
+    for (const auto &B : F.blocks())
+      if (ChkPdom[B->id()] != DsuPdom[B->id()]) {
+        Detail = "ipdom(" + B->name() + "): CHK " +
+                 Name(ChkPdom[B->id()], "<exit>") + " != DSU " +
+                 Name(DsuPdom[B->id()], "<exit>");
+        return false;
+      }
 
   SSABuildOptions Build;
   Build.FoldCopies = true;

@@ -78,8 +78,8 @@ enum class DivergenceKind {
                     ///< destruction of the same SSA flavor.
   AllocUnsound,     ///< A definition writes a register another variable
                     ///< live across it occupies (copy sources exempt).
-  AnalysisMismatch, ///< DSU vs CHK dominators or sparse vs dense liveness
-                    ///< disagreed on the same function.
+  AnalysisMismatch, ///< DSU vs CHK dominators or postdominators, or sparse
+                    ///< vs dense liveness, disagreed on the same function.
   InternalError,    ///< A pass threw; captured, remaining configs still ran.
 };
 

@@ -28,7 +28,7 @@ public:
       Stacks[P->id()].push_back(P);
   }
 
-  void run() { renameBlock(F.entry()); }
+  void run();
 
 private:
   Variable *fresh(Variable *Orig) {
@@ -57,6 +57,9 @@ private:
       O = Operand::imm(0);
   }
 
+  /// Renames \p B's phis and instructions and its successors' phi operands
+  /// on the edges leaving it, logging into Pushed and Folded what run()
+  /// undoes when it leaves \p B.
   void renameBlock(BasicBlock *B);
 
   Function &F;
@@ -66,13 +69,44 @@ private:
   std::vector<unsigned> Counter;               // indexed by original var id
   unsigned NumOriginals;
   SSABuildStats &Stats;
-};
-
-void Renamer::renameBlock(BasicBlock *B) {
-  // Track pushes so we can pop on exit, and collect folded copies to erase.
+  // Originals whose stacks renameBlock pushed, and the copies it folded, for
+  // every block on the current dominator-tree path, oldest first.
   std::vector<Variable *> Pushed;
   std::vector<Instruction *> Folded;
+};
 
+/// Walks the dominator tree in preorder with an explicit stack (a chain of
+/// blocks makes the tree as deep as the function is long). Leaving a block
+/// erases its folded copies and pops its names, after all its children.
+void Renamer::run() {
+  struct Frame {
+    BasicBlock *B;
+    unsigned NextChild;
+    size_t PushedMark, FoldedMark;
+  };
+  std::vector<Frame> Path;
+  auto Enter = [&](BasicBlock *B) {
+    Path.push_back({B, 0, Pushed.size(), Folded.size()});
+    renameBlock(B);
+  };
+  Enter(F.entry());
+  while (!Path.empty()) {
+    Frame &Top = Path.back();
+    const auto &Kids = DT.children(Top.B);
+    if (Top.NextChild < Kids.size()) {
+      Enter(Kids[Top.NextChild++]);
+      continue;
+    }
+    for (size_t I = Top.FoldedMark; I != Folded.size(); ++I)
+      Top.B->eraseInst(Folded[I]);
+    Folded.resize(Top.FoldedMark);
+    for (; Pushed.size() != Top.PushedMark; Pushed.pop_back())
+      Stacks[Pushed.back()->id()].pop_back();
+    Path.pop_back();
+  }
+}
+
+void Renamer::renameBlock(BasicBlock *B) {
   // Phi definitions first: they define at the top of the block.
   for (const auto &Phi : B->phis()) {
     Variable *Orig = Phi->getDef();
@@ -125,15 +159,6 @@ void Renamer::renameBlock(BasicBlock *B) {
         rewriteUse(O);
     }
   }
-
-  // Recurse over dominator-tree children.
-  for (BasicBlock *C : DT.children(B))
-    renameBlock(C);
-
-  for (Instruction *I : Folded)
-    B->eraseInst(I);
-  for (auto It = Pushed.rbegin(), E = Pushed.rend(); It != E; ++It)
-    Stacks[(*It)->id()].pop_back();
 }
 
 } // namespace

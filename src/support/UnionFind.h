@@ -77,7 +77,7 @@ private:
 };
 
 /// Tarjan's link-eval disjoint-set forest, the structure behind the
-/// near-linear dominator computation (see analysis/DSUDominators.h). It
+/// near-linear dominator computation (see analysis/DominatorTree.cpp). It
 /// differs from UnionFind in two ways: links are directed (link() attaches a
 /// tree root under an arbitrary parent, preserving ancestry), and every
 /// vertex carries a label so eval() answers "which vertex on the linked path

@@ -1,11 +1,13 @@
 //===- tests/analysis/DSUDominatorsTest.cpp -------------------------------===//
 //
-// The DSU dominator algorithm against the CHK fixed point: the dominator
-// tree of a CFG is unique, so the two must agree on every idom and on the
-// entire preorder/max-preorder decoration, on every program we can throw at
+// The dominator builder's DSU path against its CHK reference: dominator
+// trees are unique, so the two must agree on every idom and on the entire
+// preorder/max-preorder decoration, and on every immediate postdominator
+// through the reverse-CFG entry point, on every program we can throw at
 // them — the canonical fixtures, every hand-written kernel, a generator
-// sweep, and a pathologically deep CFG (which doubles as a recursion-safety
-// check). The shared unreachable-block precondition is covered for both.
+// sweep, several returns, and a pathologically deep CFG (which doubles as a
+// recursion-safety check). The shared unreachable-block precondition and
+// the "some block cannot reach a return" verdict are covered too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,10 +25,36 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 using namespace fcc;
 
 namespace {
+
+std::string nameOr(const BasicBlock *B, const char *Null) {
+  return B ? B->name() : Null;
+}
+
+/// Computes \p F's postdominators with both algorithms and asserts the same
+/// verdict and, when defined, the same immediate postdominators. Returns
+/// whether they were defined (every block reaches a return).
+bool expectIdenticalPostdominators(const Function &F,
+                                   const std::string &Context) {
+  std::vector<BasicBlock *> Chk, Dsu;
+  bool ChkDefined = computePostDominators(F, Chk, DomAlgorithm::CHK);
+  bool DsuDefined = computePostDominators(F, Dsu, DomAlgorithm::DSU);
+  EXPECT_EQ(ChkDefined, DsuDefined) << Context;
+  if (!ChkDefined || !DsuDefined)
+    return false;
+  EXPECT_EQ(Chk.size(), F.numBlocks()) << Context;
+  EXPECT_EQ(Dsu.size(), F.numBlocks()) << Context;
+  for (const auto &B : F.blocks())
+    EXPECT_EQ(Chk[B->id()], Dsu[B->id()])
+        << Context << ": ipdom(" << B->name() << "): CHK "
+        << nameOr(Chk[B->id()], "<exit>") << " != DSU "
+        << nameOr(Dsu[B->id()], "<exit>");
+  return true;
+}
 
 /// Builds both trees over \p F and asserts they decorate identically.
 void expectIdenticalTrees(const Function &F, const std::string &Context) {
@@ -56,10 +84,12 @@ TEST(DSUDominatorsTest, AgreesOnCanonicalPrograms) {
     auto M = parseSingleFunctionOrDie(Text);
     Function &F = *M->functions()[0];
     expectIdenticalTrees(F, F.name());
+    EXPECT_TRUE(expectIdenticalPostdominators(F, F.name()));
     // Critical-edge splitting reshapes the CFG the way the pipeline does;
     // the algorithms must agree on that shape too.
     splitCriticalEdges(F);
     expectIdenticalTrees(F, F.name() + " (split)");
+    EXPECT_TRUE(expectIdenticalPostdominators(F, F.name() + " (split)"));
   }
 }
 
@@ -69,11 +99,13 @@ TEST(DSUDominatorsTest, AgreesOnEveryKernel) {
     for (auto &F : M->functions()) {
       splitCriticalEdges(*F);
       expectIdenticalTrees(*F, Spec.Name);
+      EXPECT_TRUE(expectIdenticalPostdominators(*F, Spec.Name));
     }
   }
 }
 
 TEST(DSUDominatorsTest, AgreesOnGeneratorSweep) {
+  unsigned WithPostdominators = 0;
   for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
     Module M;
     GeneratorOptions Opts;
@@ -83,7 +115,9 @@ TEST(DSUDominatorsTest, AgreesOnGeneratorSweep) {
     Function *F = generateProgram(M, "g" + std::to_string(Seed), Opts);
     splitCriticalEdges(*F);
     expectIdenticalTrees(*F, F->name());
+    WithPostdominators += expectIdenticalPostdominators(*F, F->name());
   }
+  EXPECT_GT(WithPostdominators, 0u) << "the sweep must reach the reverse CFG";
 }
 
 TEST(DSUDominatorsTest, DeepChainIsIterativelySafe) {
@@ -112,6 +146,17 @@ TEST(DSUDominatorsTest, DeepChainIsIterativelySafe) {
     Prev = B;
   }
   expectIdenticalTrees(F, "deep chain");
+
+  // Reversed, the chain is just as deep: each block's immediate
+  // postdominator is the next one, and the returning tail's is the exit.
+  std::vector<BasicBlock *> IPdom;
+  ASSERT_TRUE(computePostDominators(F, IPdom));
+  EXPECT_EQ(IPdom[F.entry()->id()], F.findBlock("b0"));
+  for (unsigned I = 0; I != Depth; ++I)
+    EXPECT_EQ(IPdom[F.findBlock("b" + std::to_string(I))->id()],
+              I + 1 == Depth ? nullptr
+                             : F.findBlock("b" + std::to_string(I + 1)));
+  EXPECT_TRUE(expectIdenticalPostdominators(F, "deep chain"));
 }
 
 TEST(DSUDominatorsTest, UnreachableBlocksThrowUnderBothAlgorithms) {
@@ -163,6 +208,60 @@ exit:
   EXPECT_EQ(Dsu.idom(F.findBlock("h1")), F.entry());
   EXPECT_EQ(Dsu.idom(F.findBlock("h2")), F.entry());
   EXPECT_EQ(Dsu.idom(F.findBlock("exit")), F.entry());
+}
+
+TEST(PostDominatorsTest, SeveralReturns) {
+  // Two returns: blocks that can still reach either one are postdominated
+  // only by the virtual exit; the rest by the join they must pass.
+  auto M = parseSingleFunctionOrDie(R"(
+func @multi(%a, %b) {
+entry:
+  %c = cmplt %a, %b
+  cbr %c, left, right
+left:
+  %d = cmplt %a, 0
+  cbr %d, early, join
+right:
+  br join
+join:
+  %s = add %a, %b
+  ret %s
+early:
+  ret %a
+}
+)");
+  Function &F = *M->functions()[0];
+  std::vector<BasicBlock *> IPdom;
+  ASSERT_TRUE(computePostDominators(F, IPdom));
+  EXPECT_EQ(IPdom[F.entry()->id()], nullptr);
+  EXPECT_EQ(IPdom[F.findBlock("left")->id()], nullptr);
+  EXPECT_EQ(IPdom[F.findBlock("right")->id()], F.findBlock("join"));
+  EXPECT_EQ(IPdom[F.findBlock("join")->id()], nullptr);
+  EXPECT_EQ(IPdom[F.findBlock("early")->id()], nullptr);
+  EXPECT_TRUE(expectIdenticalPostdominators(F, "several returns"));
+  splitCriticalEdges(F);
+  EXPECT_TRUE(expectIdenticalPostdominators(F, "several returns (split)"));
+}
+
+TEST(PostDominatorsTest, UndefinedWhenABlockCannotReachAReturn) {
+  // The CFG ADCE must not perform branch surgery on: `spin` loops forever,
+  // so the reverse search from the exit never reaches it, under either
+  // algorithm.
+  auto M = parseSingleFunctionOrDie(R"(
+func @f(%x) {
+entry:
+  %c = cmplt %x, 0
+  cbr %c, spin, out
+spin:
+  br spin
+out:
+  ret %x
+}
+)");
+  Function &F = *M->functions()[0];
+  std::vector<BasicBlock *> IPdom;
+  EXPECT_FALSE(computePostDominators(F, IPdom, DomAlgorithm::DSU));
+  EXPECT_FALSE(computePostDominators(F, IPdom, DomAlgorithm::CHK));
 }
 
 } // namespace

@@ -13,7 +13,10 @@
 #include "ir/Function.h"
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
+#include "service/CompilationService.h"
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace fcc;
 
@@ -142,5 +145,45 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, CornerCaseTest,
     ::testing::Combine(::testing::Range<size_t>(0, std::size(Cases)),
                        ::testing::Values(0, 1, 2, 3)));
+
+/// A straight chain of \p Depth `br`-only blocks between an entry that
+/// defines %x and a tail that returns 2 * (%a + 1); the middle block folds a
+/// copy, so renaming has a name to push and a copy to erase deep down.
+std::string chainSource(unsigned Depth) {
+  std::string Text = "func @chain(%a) {\nentry:\n  %x = add %a, 1\n  br b0\n";
+  for (unsigned I = 0; I != Depth; ++I) {
+    Text += "b" + std::to_string(I) + ":\n";
+    if (I == Depth / 2)
+      Text += "  %y = copy %x\n";
+    Text += I + 1 == Depth ? std::string("  %r = add %x, %y\n  ret %r\n")
+                           : "  br b" + std::to_string(I + 1) + "\n";
+  }
+  return Text + "}\n";
+}
+
+TEST(DeepChainTest, CompilesAtTheDefaultStackInlineAndOnPoolWorkers) {
+  // The dominator tree is as deep as the function is long, so every walk
+  // over it must be iterative: at 200 000 blocks, a walk recursing once per
+  // tree level overflows the default 8 MB thread stack.
+  const std::string Text = chainSource(200000);
+  for (PipelineKind Kind : {PipelineKind::New, PipelineKind::Standard,
+                            PipelineKind::BriggsImproved}) {
+    auto M = parseSingleFunctionOrDie(Text);
+    Function &F = *M->functions()[0];
+    runPipeline(F, Kind);
+    std::string Error;
+    ASSERT_TRUE(verifyFunction(F, Error)) << pipelineName(Kind) << ": " << Error;
+    EXPECT_EQ(testutils::run(F, {3}).ReturnValue, 8) << pipelineName(Kind);
+  }
+
+  // Two units on two jobs: the compiles run on pool worker threads.
+  ServiceOptions Opts;
+  Opts.Jobs = 2;
+  BatchReport R = CompilationService(Opts).run(
+      {WorkUnit::fromSource("c0", Text), WorkUnit::fromSource("c1", Text)});
+  EXPECT_EQ(R.Jobs, 2u);
+  for (const UnitReport &U : R.Units)
+    EXPECT_TRUE(U.ok()) << U.Name << ": " << U.Error;
+}
 
 } // namespace

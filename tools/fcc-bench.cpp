@@ -34,7 +34,8 @@
 // no timings — so the CI quality gate compares rows exactly by default.
 // "diverged" counts routines whose post-allocation execution differed from
 // the unoptimized reference (must be 0); "alloc_failures" counts routines
-// the spill rewriter could not converge on (must be 0).
+// the compilation service failed on, such as a spill rewriter that could
+// not converge (must be 0).
 //
 //   {"schema": "fcc-quality/1", "suite": S, "routines": N,
 //    "rows": [{"name", "pipeline", "machine"[, "passes"], "functions",
@@ -157,6 +158,12 @@ std::string scaleTag(const SuiteParams &P) {
          std::to_string(P.GenBudget);
 }
 
+/// The work unit the compilation service materializes \p Spec from.
+WorkUnit unitFor(const RoutineSpec &Spec) {
+  return Spec.Source.empty() ? WorkUnit::fromGenerator(Spec.Name, Spec.GenOpts)
+                             : WorkUnit::fromSource(Spec.Name, Spec.Source);
+}
+
 /// The largest per-function PeakBytes of a server/* batch. A failed unit
 /// throws: a batch that skipped work must not be timed as a fast one.
 size_t batchPeakBytes(const BatchReport &R) {
@@ -201,8 +208,8 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P) {
   // The two liveness solvers over the identical SSA function: solve pins
   // the dense fixed point, sparse_solve the per-variable def-use walk, so
   // one artifact carries the head-to-head the A/B methodology in
-  // EXPERIMENTS.md reads off. domtree/build likewise pins the DSU
-  // algorithm.
+  // EXPERIMENTS.md reads off. domtree/build times the dominator builder's
+  // default (DSU) path.
   Benches.push_back({"liveness/solve", Tag, [Fix]() -> size_t {
                        Liveness LV(*Fix->F, LivenessAlgorithm::Dense);
                        return LV.bytes();
@@ -214,7 +221,7 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P) {
                      }});
 
   Benches.push_back({"domtree/build", Tag, [Fix]() -> size_t {
-                       DominatorTree DT(*Fix->F, DomAlgorithm::DSU);
+                       DominatorTree DT(*Fix->F);
                        return DT.bytes();
                      }});
 
@@ -252,9 +259,7 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P) {
   {
     auto Units = std::make_shared<std::vector<WorkUnit>>();
     for (const RoutineSpec &Spec : paperSuite(P.PaperRoutines))
-      Units->push_back(Spec.Source.empty()
-                           ? WorkUnit::fromGenerator(Spec.Name, Spec.GenOpts)
-                           : WorkUnit::fromSource(Spec.Name, Spec.Source));
+      Units->push_back(unitFor(Spec));
     ServiceOptions SO;
     SO.Jobs = 1; // Latency, not throughput: keep the pool out of the tail.
 
@@ -337,7 +342,8 @@ struct QualityRow {
   /// Routines whose post-allocation execution differed from the
   /// unoptimized reference (return value or completion). Must be 0.
   unsigned Diverged = 0;
-  /// Routines the spill rewriter failed to converge on. Must be 0.
+  /// Routines whose unit the compilation service failed (e.g. the spill
+  /// rewriter did not converge). Must be 0.
   unsigned AllocFailures = 0;
 };
 
@@ -409,23 +415,24 @@ std::vector<QualityRow> runQualitySuite(const std::vector<RoutineSpec> &Specs) {
                (Row.Passes.empty() ? "" : "+" + Row.Passes) + "/" +
                Row.Machine;
 
+    // Each routine compiles and executes through the service, the path
+    // fcc-batch and fcc-served take.
     for (size_t S = 0; S != Specs.size(); ++S) {
-      auto M = Specs[S].materialize();
-      bool RoutineDiverged = false, RoutineFailed = false;
-      size_t FnIndex = 0;
-      for (auto &F : M->functions()) {
-        PipelineOptions Pipe;
-        Pipe.Kind = V.Kind;
-        Pipe.Machine = &MM;
-        Pipe.Passes = Passes;
-        PipelineResult R;
-        try {
-          R = runPipeline(*F, Pipe);
-        } catch (const std::exception &) {
-          RoutineFailed = true;
-          ++FnIndex;
-          continue;
-        }
+      ServiceOptions SO;
+      SO.Pipeline = V.Kind;
+      SO.Machine = MM;
+      SO.Passes = Passes;
+      SO.Execute = true;
+      SO.ExecArgs = Specs[S].Args;
+      UnitReport U =
+          CompilationService(SO).compileOne(unitFor(Specs[S]), 0, nullptr);
+      if (!U.ok()) {
+        ++Row.AllocFailures;
+        continue;
+      }
+      bool RoutineDiverged = false;
+      for (size_t FnIndex = 0; FnIndex != U.Functions.size(); ++FnIndex) {
+        const PipelineResult &R = U.Functions[FnIndex].Compile;
         ++Row.Functions;
         Row.StaticCopies += R.StaticCopies;
         Row.SpillStores += R.SpillStores;
@@ -435,16 +442,15 @@ std::vector<QualityRow> runQualitySuite(const std::vector<RoutineSpec> &Specs) {
         Row.MaxRegistersUsed =
             std::max<uint64_t>(Row.MaxRegistersUsed, R.RegistersUsed);
 
-        ExecutionResult E = Interp.run(*F, Specs[S].Args);
+        const ExecutionResult &E = U.Functions[FnIndex].Exec;
         Row.DynamicCopies += E.CopiesExecuted;
         Row.DynamicSpillOps += E.SpillOpsExecuted;
-        const RefExec &Ref = Refs[S][FnIndex++];
+        const RefExec &Ref = Refs[S][FnIndex];
         if (E.Completed != Ref.Completed ||
             (E.Completed && E.ReturnValue != Ref.ReturnValue))
           RoutineDiverged = true;
       }
       Row.Diverged += RoutineDiverged;
-      Row.AllocFailures += RoutineFailed;
     }
     Rows.push_back(std::move(Row));
   }

@@ -196,7 +196,7 @@ int main(int Argc, char **Argv) {
     Instr.Function = F.name();
     if (Opts.SsaOnly) {
       splitCriticalEdges(F);
-      DominatorTree DT(F, Shared.Analyses.Dominators);
+      DominatorTree DT(F);
       SSABuildOptions Build;
       Build.FoldCopies = !Opts.NoFold;
       SSABuildStats Stats = buildSSA(F, DT, Build);
