@@ -35,7 +35,7 @@ int main() {
   unsigned FirstCleanK = 0;
   for (unsigned K : {2u, 3u, 4u, 5u, 6u, 8u, 12u}) {
     RegAllocOptions Opts;
-    Opts.NumRegisters = K;
+    Opts.Machine = uniformMachine(K);
     RegAllocResult R = allocateRegisters(F, Opts);
     std::printf("%9u %14zu %9u\n", K, R.Spilled.size(), R.RegistersUsed);
     if (R.Spilled.empty() && FirstCleanK == 0)
@@ -44,7 +44,7 @@ int main() {
 
   if (FirstCleanK != 0) {
     RegAllocOptions Opts;
-    Opts.NumRegisters = FirstCleanK;
+    Opts.Machine = uniformMachine(FirstCleanK);
     RegAllocResult R = allocateRegisters(F, Opts);
     std::printf("\nassignment at %u registers (first spill-free fit):\n",
                 FirstCleanK);

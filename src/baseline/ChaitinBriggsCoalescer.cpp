@@ -163,18 +163,14 @@ BriggsStats fcc::coalesceCopiesBriggs(Function &F,
 
     // Rewrite the function in the merged namespace and drop self-copies.
     for (const auto &B : F.blocks()) {
-      std::vector<Instruction *> SelfCopies;
       for (const auto &I : B->insts()) {
         I->forEachUse([&](Operand &O) { O.setVar(RepOf(O.getVar())); });
         if (Variable *Def = I->getDef())
           I->setDef(RepOf(Def));
-        if (I->isCopy() && I->getDef() == I->getOperand(0).getVar()) {
-          SelfCopies.push_back(I.get());
-          ++Stats.CopiesCoalesced;
-        }
       }
-      for (Instruction *I : SelfCopies)
-        B->eraseInst(I);
+      Stats.CopiesCoalesced += B->eraseInstsIf([](const Instruction &I) {
+        return I.isCopy() && I.getDef() == I.getOperand(0).getVar();
+      });
     }
   }
   if (Opts.Instr && Opts.Instr->Stats) {

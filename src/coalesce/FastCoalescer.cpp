@@ -624,16 +624,14 @@ FastCoalesceStats FastCoalescer::rewrite() {
   // Rename defs and uses to representatives; drop copies that became
   // self-copies (that is the coalescing taking effect on explicit copies).
   for (const auto &B : F.blocks()) {
-    std::vector<Instruction *> SelfCopies;
     for (const auto &I : B->insts()) {
       I->forEachUse([&](Operand &O) { O.setVar(rep(O.getVar())); });
       if (Variable *Def = I->getDef())
         I->setDef(rep(Def));
-      if (I->isCopy() && I->getDef() == I->getOperand(0).getVar())
-        SelfCopies.push_back(I.get());
     }
-    for (Instruction *I : SelfCopies)
-      B->eraseInst(I);
+    B->eraseInstsIf([](const Instruction &I) {
+      return I.isCopy() && I.getDef() == I.getOperand(0).getVar();
+    });
   }
 
   // Materialize the pending copies and delete the phis.

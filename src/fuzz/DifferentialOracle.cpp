@@ -543,7 +543,7 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
       if (C.Destruct == DestructKind::FastChecked && Opts.Registers != 0) {
         ++Result.ConfigsRun;
         RegAllocOptions RO;
-        RO.NumRegisters = Opts.Registers;
+        RO.Machine = uniformMachine(Opts.Registers);
         try {
           RegAllocResult Alloc = allocateRegisters(F, RO);
           if (!checkAllocation(F, Alloc, Error))

@@ -4,6 +4,7 @@
 
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
+#include "support/JsonEscape.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "workload/ProgramGenerator.h"
@@ -100,43 +101,11 @@ void executeRun(unsigned RunIndex, const FuzzOptions &Opts, RunSlot &Slot) {
 
 // --- JSON emission (same idiom as service/BatchReport) ------------------===//
 
-void appendEscaped(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 void appendStr(std::string &Out, const char *Key, const std::string &Value) {
   Out += '"';
   Out += Key;
   Out += "\":";
-  appendEscaped(Out, Value);
+  appendJsonEscaped(Out, Value);
 }
 
 void appendNum(std::string &Out, const char *Key, uint64_t Value) {

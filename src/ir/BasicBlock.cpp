@@ -38,13 +38,6 @@ Instruction *BasicBlock::insertAt(unsigned Index,
   return It->get();
 }
 
-void BasicBlock::erasePhi(Instruction *I) {
-  auto It = std::find_if(Phis.begin(), Phis.end(),
-                         [&](const auto &P) { return P.get() == I; });
-  assert(It != Phis.end() && "phi not in this block");
-  Phis.erase(It);
-}
-
 void BasicBlock::eraseInst(Instruction *I) {
   auto It = std::find_if(Insts.begin(), Insts.end(),
                          [&](const auto &P) { return P.get() == I; });

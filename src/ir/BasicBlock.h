@@ -57,11 +57,25 @@ public:
   /// Inserts \p I at body position \p Index (0 = before the first non-phi).
   Instruction *insertAt(unsigned Index, std::unique_ptr<Instruction> I);
 
-  /// Removes the phi \p I from the block.
-  void erasePhi(Instruction *I);
-
   /// Removes the non-phi instruction \p I from the block.
   void eraseInst(Instruction *I);
+
+  /// Removes every phi for which \p Pred(const Instruction &) holds, in one
+  /// pass that keeps the survivors in order. Returns the number removed.
+  template <typename PredT> unsigned erasePhisIf(PredT Pred) {
+    return eraseIf(Phis, Pred);
+  }
+
+  /// Removes every non-phi instruction for which \p Pred holds, in one pass
+  /// that keeps the survivors in order; \p Pred must spare the terminator.
+  /// Returns the number removed. Batch deletions go through here: erasing
+  /// one at a time costs a search and a shift per instruction.
+  template <typename PredT> unsigned eraseInstsIf(PredT Pred) {
+    [[maybe_unused]] bool HadTerminator = hasTerminator();
+    unsigned Removed = eraseIf(Insts, Pred);
+    assert((!HadTerminator || hasTerminator()) && "erased the terminator");
+    return Removed;
+  }
 
   /// Detaches the non-terminator body instruction \p I, returning ownership
   /// so a pass can re-insert it elsewhere (code motion).
@@ -100,6 +114,13 @@ private:
   friend class Function;
   BasicBlock(unsigned Id, std::string Name, Function *Parent)
       : Id(Id), Name(std::move(Name)), Parent(Parent) {}
+
+  template <typename PredT>
+  static unsigned eraseIf(std::vector<std::unique_ptr<Instruction>> &List,
+                          PredT &Pred) {
+    return static_cast<unsigned>(std::erase_if(
+        List, [&](const std::unique_ptr<Instruction> &I) { return Pred(*I); }));
+  }
 
   unsigned Id;
   std::string Name;

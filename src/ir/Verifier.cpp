@@ -2,10 +2,10 @@
 
 #include "ir/Verifier.h"
 
+#include "analysis/Liveness.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 #include "ir/Variable.h"
-#include "support/IndexSet.h"
 
 #include <algorithm>
 
@@ -136,88 +136,15 @@ bool fcc::verifyFunction(const Function &F, std::string &Error) {
   return true;
 }
 
-namespace {
-
-/// Forward may-be-undefined data-flow. MaybeUndefIn[b] is the set of
-/// variables that may reach b's entry without a definition on some path.
-struct UndefAnalysis {
-  explicit UndefAnalysis(const Function &F)
-      : F(F), DefinedIn(F.numBlocks(), IndexSet(F.numVariables())),
-        MaybeUndefIn(F.numBlocks(), IndexSet(F.numVariables())) {
-    run();
-  }
-
-  void run() {
-    unsigned NumVars = F.numVariables();
-    for (const auto &B : F.blocks()) {
-      IndexSet &Defs = DefinedIn[B->id()];
-      for (const auto &I : B->phis())
-        Defs.insert(I->getDef()->id());
-      for (const auto &I : B->insts())
-        if (Variable *Def = I->getDef())
-          Defs.insert(Def->id());
-    }
-
-    // Entry: everything but the parameters may be undefined.
-    IndexSet &EntryIn = MaybeUndefIn[F.entry()->id()];
-    for (unsigned Id = 0; Id != NumVars; ++Id)
-      EntryIn.insert(Id);
-    for (const Variable *P : F.params())
-      EntryIn.erase(P->id());
-
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (const auto &B : F.blocks()) {
-        for (BasicBlock *S : B->terminator()->successors()) {
-          IndexSet Out = MaybeUndefIn[B->id()];
-          Out.subtract(DefinedIn[B->id()]);
-          Changed |= MaybeUndefIn[S->id()].unionWith(Out);
-        }
-      }
-    }
-  }
-
-  const Function &F;
-  std::vector<IndexSet> DefinedIn;
-  std::vector<IndexSet> MaybeUndefIn;
-};
-
-} // namespace
-
 std::vector<const Variable *> fcc::findNonStrictVariables(const Function &F) {
-  UndefAnalysis UA(F);
-  IndexSet Bad(F.numVariables());
-
-  for (const auto &B : F.blocks()) {
-    // Phi uses occur on the incoming edge: the value must be defined at the
-    // end of the predecessor.
-    for (const auto &I : B->phis()) {
-      for (unsigned Idx = 0, E = I->getNumOperands(); Idx != E; ++Idx) {
-        const Operand &O = I->getOperand(Idx);
-        if (!O.isVar())
-          continue;
-        const BasicBlock *P = B->preds()[Idx];
-        IndexSet AtEdge = UA.MaybeUndefIn[P->id()];
-        AtEdge.subtract(UA.DefinedIn[P->id()]);
-        if (AtEdge.test(O.getVar()->id()))
-          Bad.insert(O.getVar()->id());
-      }
-    }
-    // Straight-line uses: a within-block definition above the use covers it.
-    IndexSet Undef = UA.MaybeUndefIn[B->id()];
-    for (const auto &I : B->insts()) {
-      I->forEachUsedVar([&](Variable *V) {
-        if (Undef.test(V->id()))
-          Bad.insert(V->id());
-      });
-      if (Variable *Def = I->getDef())
-        Undef.erase(Def->id());
-    }
-  }
-
+  // A use no definition covers on some path from the entry is live into the
+  // entry, and only such a use is; parameters are defined there. The dense
+  // solver, because input code may define a name many times.
   std::vector<const Variable *> Result;
-  Bad.forEach([&](unsigned Id) { Result.push_back(F.variable(Id)); });
+  Liveness(F).liveIn(F.entry()).forEach([&](unsigned Id) {
+    if (!F.isParam(F.variable(Id)))
+      Result.push_back(F.variable(Id));
+  });
   return Result;
 }
 

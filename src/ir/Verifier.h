@@ -27,7 +27,8 @@ bool verifyFunction(const Function &F, std::string &Error);
 
 /// Definition 2.1: every path from entry to a use of v passes a definition
 /// of v. Parameters count as defined on entry. Returns the variables with a
-/// possibly-undefined use (empty means the function is strict).
+/// possibly-undefined use, in id order: the names live into the entry block
+/// other than the parameters (empty means the function is strict).
 std::vector<const Variable *> findNonStrictVariables(const Function &F);
 
 /// True when the function is strict per Definition 2.1.

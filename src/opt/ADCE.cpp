@@ -103,22 +103,11 @@ ADCEStats fcc::runADCE(Function &F) {
 
   // Delete the dead phis and dead non-terminator instructions.
   for (const auto &B : F.blocks()) {
-    std::vector<Instruction *> Doomed;
-    for (const auto &Phi : B->phis())
-      if (!Live.count(Phi.get()))
-        Doomed.push_back(Phi.get());
-    for (Instruction *Phi : Doomed) {
-      B->erasePhi(Phi);
-      ++Stats.PhisRemoved;
-    }
-    Doomed.clear();
-    for (const auto &I : B->insts())
-      if (!I->isTerminator() && !Live.count(I.get()))
-        Doomed.push_back(I.get());
-    for (Instruction *I : Doomed) {
-      B->eraseInst(I);
-      ++Stats.InstsRemoved;
-    }
+    Stats.PhisRemoved += B->erasePhisIf(
+        [&](const Instruction &Phi) { return !Live.count(&Phi); });
+    Stats.InstsRemoved += B->eraseInstsIf([&](const Instruction &I) {
+      return !I.isTerminator() && !Live.count(&I);
+    });
   }
 
   // Retarget each dead conditional branch at the nearest postdominator

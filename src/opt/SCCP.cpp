@@ -293,37 +293,28 @@ SCCPStats fcc::runSCCP(Function &F) {
   // Rewrite 1: defs proven constant become `const` instructions in place
   // (phis included — a constant phi's def moves to the top of its block,
   // which dominates everything the phi dominated).
+  auto IsConstant = [&](const Instruction &I) {
+    return Solver.valueOf(I.getDef()).State == LatticeValue::Constant;
+  };
+  auto ConstFor = [&](Variable *Def) {
+    return std::make_unique<Instruction>(
+        Opcode::Const, Def,
+        std::vector<Operand>{Operand::imm(Solver.valueOf(Def).Value)});
+  };
   for (const auto &B : F.blocks()) {
     if (!Solver.executable(B.get()))
       continue;
-    std::vector<Instruction *> ConstPhis;
     for (const auto &Phi : B->phis())
-      if (Solver.valueOf(Phi->getDef()).State == LatticeValue::Constant)
-        ConstPhis.push_back(Phi.get());
-    for (Instruction *Phi : ConstPhis) {
-      Variable *Def = Phi->getDef();
-      int64_t Value = Solver.valueOf(Def).Value;
-      B->erasePhi(Phi);
-      B->insertAt(0, std::make_unique<Instruction>(
-                         Opcode::Const, Def,
-                         std::vector<Operand>{Operand::imm(Value)}));
-      ++Stats.ConstantsFolded;
-    }
-    std::vector<Instruction *> ConstInsts;
-    for (const auto &I : B->insts())
-      if (I->getDef() && I->opcode() != Opcode::Const &&
-          Solver.valueOf(I->getDef()).State == LatticeValue::Constant)
-        ConstInsts.push_back(I.get());
-    for (Instruction *I : ConstInsts) {
-      unsigned Index = 0;
-      while (B->insts()[Index].get() != I)
-        ++Index;
+      if (IsConstant(*Phi))
+        B->insertAt(0, ConstFor(Phi->getDef()));
+    Stats.ConstantsFolded += B->erasePhisIf(IsConstant);
+    for (unsigned Index = 0, E = B->size(); Index != E; ++Index) {
+      Instruction *I = B->insts()[Index].get();
+      if (!I->getDef() || I->opcode() == Opcode::Const || !IsConstant(*I))
+        continue;
       Variable *Def = I->getDef();
-      int64_t Value = Solver.valueOf(Def).Value;
       B->eraseInst(I);
-      B->insertAt(Index, std::make_unique<Instruction>(
-                             Opcode::Const, Def,
-                             std::vector<Operand>{Operand::imm(Value)}));
+      B->insertAt(Index, ConstFor(Def));
       ++Stats.ConstantsFolded;
     }
   }
@@ -331,17 +322,16 @@ SCCPStats fcc::runSCCP(Function &F) {
   // Rewrite 2: copy forwarding. In SSA, `d = copy s` makes d equal to s at
   // every use (s's def dominates the copy, which dominates d's uses), so
   // every use of d is retargeted at the chain's root and the copy deleted.
+  auto IsForwarded = [&](const Instruction &I) {
+    return I.isCopy() && I.getOperand(0).isVar() && !IsConstant(I);
+  };
   std::unordered_map<const Variable *, Variable *> Forward;
-  std::vector<std::pair<BasicBlock *, Instruction *>> DeadCopies;
   for (const auto &B : F.blocks()) {
     if (!Solver.executable(B.get()))
       continue;
     for (const auto &I : B->insts())
-      if (I->isCopy() && I->getOperand(0).isVar() &&
-          Solver.valueOf(I->getDef()).State != LatticeValue::Constant) {
+      if (IsForwarded(*I))
         Forward[I->getDef()] = I->getOperand(0).getVar();
-        DeadCopies.push_back({B.get(), I.get()});
-      }
   }
   if (!Forward.empty()) {
     auto Resolve = [&](Variable *V) {
@@ -361,10 +351,9 @@ SCCPStats fcc::runSCCP(Function &F) {
       for (const auto &I : B->insts())
         RewriteUses(*I);
     }
-    for (auto [B, I] : DeadCopies) {
-      B->eraseInst(I);
-      ++Stats.CopiesForwarded;
-    }
+    for (const auto &B : F.blocks())
+      if (Solver.executable(B.get()))
+        Stats.CopiesForwarded += B->eraseInstsIf(IsForwarded);
   }
 
   // Rewrite 3: fold conditional branches with a proven-constant condition,

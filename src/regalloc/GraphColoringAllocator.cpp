@@ -18,15 +18,9 @@ using namespace fcc;
 RegAllocResult fcc::allocateRegisters(const Function &F,
                                       const RegAllocOptions &Opts) {
   assert(F.phiCount() == 0 && "allocate after SSA destruction");
-  MachineModel Uniform;
-  const MachineModel *MM = Opts.Machine;
-  if (!MM) {
-    assert(Opts.NumRegisters > 0 && "need at least one register");
-    Uniform = uniformMachine(Opts.NumRegisters);
-    MM = &Uniform;
-  }
+  const MachineModel &MM = Opts.Machine;
   unsigned N = F.numVariables();
-  unsigned NumClasses = static_cast<unsigned>(MM->Classes.size());
+  unsigned NumClasses = static_cast<unsigned>(MM.Classes.size());
 
   auto Flagged = [](const std::vector<bool> *Flags, unsigned Id) {
     return Flags && Id < Flags->size() && (*Flags)[Id];
@@ -48,11 +42,11 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
   InterferenceGraph Graph(F, LV, BuildOpts);
 
   RegAllocResult Result;
-  Result.ClassOf = classifyVariables(F, *MM);
+  Result.ClassOf = classifyVariables(F, MM);
   std::vector<unsigned> ClassK(NumClasses), ClassBase(NumClasses);
   for (unsigned C = 0; C != NumClasses; ++C) {
-    ClassK[C] = MM->Classes[C].NumRegisters;
-    ClassBase[C] = MM->classBase(C);
+    ClassK[C] = MM.Classes[C].NumRegisters;
+    ClassBase[C] = MM.classBase(C);
   }
 
   // Spill costs: uses and defs weighted 10^depth, Chaitin's classic metric.
@@ -136,7 +130,7 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
   // Select: pop and color against already-colored neighbors, inside the
   // node's class range.
   Result.RegisterOf.assign(N, -1);
-  std::vector<bool> UsedColor(MM->totalRegisters(), false);
+  std::vector<bool> UsedColor(MM.totalRegisters(), false);
   while (!Stack.empty()) {
     const Variable *V = Stack.back();
     Stack.pop_back();
@@ -162,7 +156,7 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
 
   // Distinct registers in the (possibly partial) assignment — see the
   // RegAllocResult contract in the header.
-  std::vector<bool> Seen(MM->totalRegisters(), false);
+  std::vector<bool> Seen(MM.totalRegisters(), false);
   for (int Reg : Result.RegisterOf)
     if (Reg >= 0 && !Seen[static_cast<unsigned>(Reg)]) {
       Seen[static_cast<unsigned>(Reg)] = true;

@@ -26,6 +26,8 @@
 #ifndef FCC_REGALLOC_GRAPHCOLORINGALLOCATOR_H
 #define FCC_REGALLOC_GRAPHCOLORINGALLOCATOR_H
 
+#include "regalloc/MachineModel.h"
+
 #include <cstddef>
 #include <vector>
 
@@ -33,17 +35,12 @@ namespace fcc {
 
 class Function;
 class Variable;
-struct MachineModel;
 
 /// Allocation parameters.
 struct RegAllocOptions {
-  /// Bank size when no machine model is supplied (a uniform single-class
-  /// machine of this many registers).
-  unsigned NumRegisters = 8;
-  /// Optional machine model. When set, it takes precedence over
-  /// NumRegisters: variables are partitioned by `classifyVariables` and
+  /// Target machine: variables are partitioned by `classifyVariables` and
   /// each class colors only inside its own global index range.
-  const MachineModel *Machine = nullptr;
+  MachineModel Machine = uniformMachine(8);
   /// Variables the caller knows are dissolved spill machinery (reload and
   /// store temporaries, fully-dissolved victims). They are colored
   /// normally but never preferred as optimistic spill candidates:

@@ -201,7 +201,7 @@ SpillRewriteResult fcc::insertSpillCode(Function &F,
   assert(F.phiCount() == 0 && "spill rewriting runs after SSA destruction");
   assert(!Opts.Machine.Classes.empty() && "machine model has no classes");
   RegAllocOptions AllocOpts;
-  AllocOpts.Machine = &Opts.Machine;
+  AllocOpts.Machine = Opts.Machine;
 
   SpillRewriteResult R;
   unsigned NextSlot = 0;

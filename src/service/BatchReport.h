@@ -15,6 +15,7 @@
 
 #include "interp/Interpreter.h"
 #include "pipeline/Pipeline.h"
+#include "support/JsonEscape.h"
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -72,11 +73,6 @@ struct UnitReport {
 
   bool ok() const { return Status == UnitStatus::Ok; }
 };
-
-/// Appends \p S to \p Out as a quoted JSON string (escaping quotes,
-/// backslashes and control characters) — the one JSON string writer every
-/// serializer in the repository shares.
-void appendJsonEscaped(std::string &Out, const std::string &S);
 
 /// Appends one unit report as a JSON object: exactly the serialization
 /// BatchReport::toJson uses for its "units" array, exposed so the daemon's

@@ -332,6 +332,28 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
                       std::to_string(Opts.MaxUnitInstructions));
   }
 
+  // runPipeline's input contract: verified, phi-free and strict (after
+  // enforcement, when asked). Returns Ok, or the failure with Error filled.
+  auto Validate = [&](Function &F, std::string &Error) {
+    if (Opts.EnforceStrictness)
+      enforceStrictness(F);
+    if (!verifyFunction(F, Error)) {
+      Error = "@" + F.name() + ": " + Error;
+      return UnitStatus::VerifyError;
+    }
+    if (F.phiCount() != 0) {
+      Error = "@" + F.name() +
+              ": input has phis; compiles start from phi-free code";
+      return UnitStatus::VerifyError;
+    }
+    if (!isStrict(F)) {
+      Error = "@" + F.name() +
+              " is not strict (a use may precede every definition)";
+      return UnitStatus::NotStrict;
+    }
+    return UnitStatus::Ok;
+  };
+
   // With a cache attached, validation runs as a pre-pass (same order, same
   // diagnostics as the compile loop below) so the structural key is only
   // derived — and ownership only claimed — for units that will actually
@@ -340,16 +362,9 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
   bool OwnerActive = false;
   if (Cache) {
     for (const auto &FPtr : M->functions()) {
-      Function &F = *FPtr;
-      if (Opts.EnforceStrictness)
-        enforceStrictness(F);
       std::string Error;
-      if (!verifyFunction(F, Error))
-        return Fail(UnitStatus::VerifyError, "@" + F.name() + ": " + Error);
-      if (!isStrict(F))
-        return Fail(UnitStatus::NotStrict,
-                    "@" + F.name() +
-                        " is not strict (a use may precede every definition)");
+      if (UnitStatus S = Validate(*FPtr, Error); S != UnitStatus::Ok)
+        return Fail(S, Error);
     }
     StructKey = structKeyFor(*M, CfgFp);
     ResultCache::StructResult R = Cache->lookupOrStart(StructKey);
@@ -391,14 +406,8 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
 
     std::string Error;
     if (!Prevalidated) {
-      if (Opts.EnforceStrictness)
-        enforceStrictness(F);
-      if (!verifyFunction(F, Error))
-        return Fail(UnitStatus::VerifyError, "@" + F.name() + ": " + Error);
-      if (!isStrict(F))
-        return Fail(UnitStatus::NotStrict,
-                    "@" + F.name() +
-                        " is not strict (a use may precede every definition)");
+      if (UnitStatus S = Validate(F, Error); S != UnitStatus::Ok)
+        return Fail(S, Error);
     }
 
     FunctionRecord Record;

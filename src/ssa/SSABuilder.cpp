@@ -58,8 +58,8 @@ private:
   }
 
   /// Renames \p B's phis and instructions and its successors' phi operands
-  /// on the edges leaving it, logging into Pushed and Folded what run()
-  /// undoes when it leaves \p B.
+  /// on the edges leaving it, logging into Pushed the names run() pops when
+  /// it leaves \p B. A folded copy keeps its original def.
   void renameBlock(BasicBlock *B);
 
   Function &F;
@@ -69,24 +69,23 @@ private:
   std::vector<unsigned> Counter;               // indexed by original var id
   unsigned NumOriginals;
   SSABuildStats &Stats;
-  // Originals whose stacks renameBlock pushed, and the copies it folded, for
-  // every block on the current dominator-tree path, oldest first.
+  // Originals whose stacks renameBlock pushed for every block on the
+  // current dominator-tree path, oldest first.
   std::vector<Variable *> Pushed;
-  std::vector<Instruction *> Folded;
 };
 
 /// Walks the dominator tree in preorder with an explicit stack (a chain of
 /// blocks makes the tree as deep as the function is long). Leaving a block
-/// erases its folded copies and pops its names, after all its children.
+/// pops its names, after all its children.
 void Renamer::run() {
   struct Frame {
     BasicBlock *B;
     unsigned NextChild;
-    size_t PushedMark, FoldedMark;
+    size_t PushedMark;
   };
   std::vector<Frame> Path;
   auto Enter = [&](BasicBlock *B) {
-    Path.push_back({B, 0, Pushed.size(), Folded.size()});
+    Path.push_back({B, 0, Pushed.size()});
     renameBlock(B);
   };
   Enter(F.entry());
@@ -97,9 +96,6 @@ void Renamer::run() {
       Enter(Kids[Top.NextChild++]);
       continue;
     }
-    for (size_t I = Top.FoldedMark; I != Folded.size(); ++I)
-      Top.B->eraseInst(Folded[I]);
-    Folded.resize(Top.FoldedMark);
     for (; Pushed.size() != Top.PushedMark; Pushed.pop_back())
       Stacks[Pushed.back()->id()].pop_back();
     Path.pop_back();
@@ -127,11 +123,9 @@ void Renamer::renameBlock(BasicBlock *B) {
 
     if (FoldCopies && I->isCopy() && I->getOperand(0).isVar()) {
       // Copy folding: the destination's uses read the source's current name
-      // directly; the copy disappears.
+      // directly; buildSSA erases the copy.
       Stacks[Def->id()].push_back(I->getOperand(0).getVar());
       Pushed.push_back(Def);
-      Folded.push_back(I.get());
-      ++Stats.CopiesFolded;
       continue;
     }
     if (FoldCopies && I->isCopy() && I->getOperand(0).isImm()) {
@@ -239,9 +233,15 @@ SSABuildStats fcc::buildSSA(Function &F, const DominatorTree &DT,
     }
   }
 
-  // Rename.
+  // Rename, then erase the folded copies: theirs are the only defs still
+  // naming an original variable.
   Renamer R(F, DT, Opts.FoldCopies, NumOriginals, Stats);
   R.run();
+  if (Opts.FoldCopies)
+    for (const auto &B : F.blocks())
+      Stats.CopiesFolded += B->eraseInstsIf([&](const Instruction &I) {
+        return I.getDef() && I.getDef()->id() < NumOriginals;
+      });
 
   Stats.PeakBytes = SideBytes + NumOriginals * sizeof(void *) * 3;
   return Stats;

@@ -9,16 +9,10 @@
 /// per-container malloc/free traffic, and reset() retains the chunks so one
 /// arena serves every round/function a pass compiles.
 ///
-/// Reports its footprint to an optional MemoryTracker — chunks count when
-/// reserved and are released on reset()/destruction — so the paper's memory
-/// tables keep seeing arena-backed structures.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCC_SUPPORT_ARENA_H
 #define FCC_SUPPORT_ARENA_H
-
-#include "support/MemoryTracker.h"
 
 #include <cassert>
 #include <cstddef>
@@ -35,9 +29,8 @@ class Arena {
 public:
   static constexpr size_t DefaultChunkBytes = size_t(64) << 10;
 
-  explicit Arena(size_t ChunkBytes = DefaultChunkBytes,
-                 MemoryTracker *Tracker = nullptr)
-      : ChunkBytes(ChunkBytes), Tracker(Tracker) {
+  explicit Arena(size_t ChunkBytes = DefaultChunkBytes)
+      : ChunkBytes(ChunkBytes) {
     assert(ChunkBytes >= sizeof(Chunk) + MaxAlign && "chunk too small");
   }
 
@@ -45,8 +38,6 @@ public:
   Arena &operator=(const Arena &) = delete;
 
   ~Arena() {
-    if (Tracker)
-      Tracker->release(Reserved);
     for (Chunk *C = Chunks; C;) {
       Chunk *Next = C->Next;
       std::free(C);
@@ -92,8 +83,7 @@ public:
   /// Live bytes handed out since the last reset (excludes alignment pad).
   size_t bytesUsed() const { return Used; }
 
-  /// Bytes of chunk memory reserved from the system (the footprint a
-  /// MemoryTracker sees).
+  /// Bytes of chunk memory reserved from the system.
   size_t bytesReserved() const { return Reserved; }
 
 private:
@@ -139,12 +129,9 @@ private:
     Cursor = C->Begin;
     End = C->End;
     Reserved += Total;
-    if (Tracker)
-      Tracker->allocate(Total);
   }
 
   size_t ChunkBytes;
-  MemoryTracker *Tracker;
   Chunk *Chunks = nullptr;  ///< All chunks, in reservation order.
   Chunk *Current = nullptr; ///< Chunk the cursor points into.
   uintptr_t Cursor = 0;

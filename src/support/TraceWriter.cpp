@@ -2,6 +2,8 @@
 
 #include "support/TraceWriter.h"
 
+#include "support/JsonEscape.h"
+
 #include <cstdio>
 #include <fstream>
 
@@ -51,42 +53,6 @@ size_t TraceWriter::eventCount() const {
   return Events.size();
 }
 
-namespace {
-
-void appendEscaped(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
-} // namespace
-
 std::string TraceWriter::toJson() const {
   std::vector<TraceEvent> Snapshot = events();
   std::string Out;
@@ -96,9 +62,9 @@ std::string TraceWriter::toJson() const {
     if (I)
       Out += ',';
     Out += "{\"name\":";
-    appendEscaped(Out, E.Name);
+    appendJsonEscaped(Out, E.Name);
     Out += ",\"cat\":";
-    appendEscaped(Out, E.Category);
+    appendJsonEscaped(Out, E.Category);
     Out += ",\"ph\":\"X\",\"ts\":" + std::to_string(E.TsMicros) +
            ",\"dur\":" + std::to_string(E.DurMicros) +
            ",\"pid\":0,\"tid\":" + std::to_string(E.Tid);
@@ -106,13 +72,13 @@ std::string TraceWriter::toJson() const {
       Out += ",\"args\":{";
       if (!E.Unit.empty()) {
         Out += "\"unit\":";
-        appendEscaped(Out, E.Unit);
+        appendJsonEscaped(Out, E.Unit);
       }
       if (!E.Function.empty()) {
         if (!E.Unit.empty())
           Out += ',';
         Out += "\"function\":";
-        appendEscaped(Out, E.Function);
+        appendJsonEscaped(Out, E.Function);
       }
       Out += '}';
     }

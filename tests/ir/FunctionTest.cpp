@@ -137,3 +137,70 @@ TEST(FunctionTest, TakePhisTransfersOwnership) {
   EXPECT_EQ(Phis.size(), 1u);
   EXPECT_TRUE(B->phis().empty());
 }
+
+TEST(FunctionTest, EraseInstsIfCompactsTheBodyInOnePass) {
+  Function F("f");
+  BasicBlock *E = F.makeBlock("entry");
+  BasicBlock *B = F.makeBlock("b");
+  E->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
+                                          std::vector<Operand>{},
+                                          std::vector<BasicBlock *>{B}));
+  F.recomputePreds();
+  Variable *P = F.makeVariable("p");
+  B->addPhi(std::make_unique<Instruction>(
+      Opcode::Phi, P, std::vector<Operand>{Operand::imm(0)}));
+  std::vector<Variable *> Vars;
+  for (unsigned I = 0; I != 6; ++I) {
+    Vars.push_back(F.makeVariable("v" + std::to_string(I)));
+    B->append(std::make_unique<Instruction>(
+        I % 2 ? Opcode::Copy : Opcode::Const, Vars.back(),
+        std::vector<Operand>{I % 2 ? Operand::var(P) : Operand::imm(I)}));
+  }
+  B->append(std::make_unique<Instruction>(
+      Opcode::Ret, nullptr, std::vector<Operand>{Operand::var(P)}));
+
+  EXPECT_EQ(B->eraseInstsIf([](const Instruction &I) { return I.isCopy(); }),
+            3u);
+  ASSERT_EQ(B->size(), 4u);
+  for (unsigned I = 0; I != 3; ++I) {
+    EXPECT_EQ(B->insts()[I]->getDef(), Vars[2 * I]) << "survivor " << I;
+    EXPECT_EQ(B->insts()[I]->getParent(), B);
+  }
+  EXPECT_TRUE(B->hasTerminator());
+  EXPECT_EQ(B->terminator()->getParent(), B);
+  EXPECT_EQ(B->phis().size(), 1u) << "the phi list is a separate list";
+
+  EXPECT_EQ(B->eraseInstsIf([](const Instruction &) { return false; }), 0u);
+  EXPECT_EQ(B->size(), 4u);
+}
+
+TEST(FunctionTest, ErasePhisIfLeavesTheBodyAlone) {
+  Function F("f");
+  BasicBlock *E = F.makeBlock("entry");
+  BasicBlock *B = F.makeBlock("b");
+  E->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
+                                          std::vector<Operand>{},
+                                          std::vector<BasicBlock *>{B}));
+  F.recomputePreds();
+  std::vector<Variable *> Vars;
+  for (unsigned I = 0; I != 5; ++I) {
+    Vars.push_back(F.makeVariable("x" + std::to_string(I)));
+    B->addPhi(std::make_unique<Instruction>(
+        Opcode::Phi, Vars.back(), std::vector<Operand>{Operand::imm(I)}));
+  }
+  B->append(std::make_unique<Instruction>(
+      Opcode::Ret, nullptr, std::vector<Operand>{Operand::var(Vars[0])}));
+
+  EXPECT_EQ(B->erasePhisIf([&](const Instruction &Phi) {
+              return Phi.getDef() == Vars[1] || Phi.getDef() == Vars[4];
+            }),
+            2u);
+  ASSERT_EQ(B->phis().size(), 3u);
+  for (unsigned I = 0; I != 3; ++I) {
+    EXPECT_EQ(B->phis()[I]->getDef(), Vars[I == 0 ? 0 : I + 1])
+        << "survivor " << I;
+    EXPECT_EQ(B->phis()[I]->getParent(), B);
+  }
+  ASSERT_EQ(B->size(), 1u) << "the body is a separate list";
+  EXPECT_TRUE(B->hasTerminator());
+}

@@ -14,8 +14,10 @@
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "service/CompilationService.h"
+#include "support/SplitMix64.h"
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 using namespace fcc;
@@ -184,6 +186,58 @@ TEST(DeepChainTest, CompilesAtTheDefaultStackInlineAndOnPoolWorkers) {
   EXPECT_EQ(R.Jobs, 2u);
   for (const UnitReport &U : R.Units)
     EXPECT_TRUE(U.ok()) << U.Name << ": " << U.Error;
+}
+
+/// One block of \p Statements seeded statements over 24 variables, half of
+/// them copies, ending in a sum of every variable.
+std::string fatBlockSource(unsigned Statements, uint64_t Seed) {
+  static const char *Arith[] = {"add", "sub", "mul"};
+  const unsigned Vars = 24;
+  auto Var = [](uint64_t I) { return "%v" + std::to_string(I); };
+  SplitMix64 Rng(Seed);
+  std::string Text = "func @fat(%a) {\nentry:\n";
+  for (unsigned I = 0; I != Vars; ++I)
+    Text += "  " + Var(I) + " = add %a, " + std::to_string(I) + "\n";
+  for (unsigned I = 0; I != Statements; ++I) {
+    std::string Dst = Var(Rng.nextBelow(Vars));
+    std::string Src = Var(Rng.nextBelow(Vars));
+    if (Rng.chancePercent(50)) {
+      Text += "  " + Dst + " = copy " + Src + "\n";
+      continue;
+    }
+    const char *Op = Arith[Rng.nextBelow(3)];
+    Text += "  " + Dst + " = " + Op + " " + Src + ", " +
+            Var(Rng.nextBelow(Vars)) + "\n";
+  }
+  Text += "  %sum = add %v0, %v1\n";
+  for (unsigned I = 2; I != Vars; ++I)
+    Text += "  %sum = add %sum, " + Var(I) + "\n";
+  return Text + "  ret %sum\n}\n";
+}
+
+TEST(FatBlockTest, CompilesAHundredThousandStatementBlockInLinearTime) {
+  // Renaming folds about half of the block's statements away. Erasing
+  // them one at a time costs a search and a shift each, which is
+  // quadratic in the block's length (seconds at this size).
+  const std::string Text = fatBlockSource(100000, 7);
+  auto Ref = parseSingleFunctionOrDie(Text);
+  ExecutionResult Want = testutils::run(*Ref->functions()[0], {3});
+  ASSERT_TRUE(Want.Completed);
+  for (PipelineKind Kind : {PipelineKind::New, PipelineKind::Standard}) {
+    auto M = parseSingleFunctionOrDie(Text);
+    Function &F = *M->functions()[0];
+    auto Start = std::chrono::steady_clock::now();
+    runPipeline(F, Kind);
+    std::chrono::duration<double> Took =
+        std::chrono::steady_clock::now() - Start;
+    EXPECT_LT(Took.count(), 0.5) << pipelineName(Kind);
+    std::string Error;
+    ASSERT_TRUE(verifyFunction(F, Error))
+        << pipelineName(Kind) << ": " << Error;
+    ExecutionResult Got = testutils::run(F, {3});
+    EXPECT_TRUE(Got.Completed) << pipelineName(Kind);
+    EXPECT_EQ(Got.ReturnValue, Want.ReturnValue) << pipelineName(Kind);
+  }
 }
 
 } // namespace

@@ -35,7 +35,7 @@ TEST(GraphColoringAllocatorTest, StraightLineNeedsFewRegisters) {
   auto M = parseSingleFunctionOrDie(testprogs::StraightLine);
   Function &F = *M->functions()[0];
   RegAllocOptions Opts;
-  Opts.NumRegisters = 4;
+  Opts.Machine = uniformMachine(4);
   RegAllocResult R = allocateRegisters(F, Opts);
   EXPECT_TRUE(R.Spilled.empty());
   EXPECT_LE(R.RegistersUsed, 4u);
@@ -47,7 +47,7 @@ TEST(GraphColoringAllocatorTest, LoopNeedsAtLeastThreeRegisters) {
   auto M = parseSingleFunctionOrDie(testprogs::SumLoop);
   Function &F = *M->functions()[0];
   RegAllocOptions Opts;
-  Opts.NumRegisters = 8;
+  Opts.Machine = uniformMachine(8);
   RegAllocResult R = allocateRegisters(F, Opts);
   EXPECT_TRUE(R.Spilled.empty());
   EXPECT_GE(R.RegistersUsed, 3u);
@@ -58,7 +58,7 @@ TEST(GraphColoringAllocatorTest, TooFewRegistersForcesSpills) {
   auto M = parseSingleFunctionOrDie(testprogs::SumLoop);
   Function &F = *M->functions()[0];
   RegAllocOptions Opts;
-  Opts.NumRegisters = 1;
+  Opts.Machine = uniformMachine(1);
   RegAllocResult R = allocateRegisters(F, Opts);
   EXPECT_FALSE(R.Spilled.empty());
   checkColoring(F, R);
@@ -68,7 +68,7 @@ TEST(GraphColoringAllocatorTest, SpillsPreferCheapValues) {
   auto M = parseSingleFunctionOrDie(testprogs::SumLoop);
   Function &F = *M->functions()[0];
   RegAllocOptions Opts;
-  Opts.NumRegisters = 2;
+  Opts.Machine = uniformMachine(2);
   RegAllocResult R = allocateRegisters(F, Opts);
   checkColoring(F, R);
   // The loop-resident names (i, sum) are 10x costlier than entry-only ones;
@@ -86,7 +86,7 @@ TEST(GraphColoringAllocatorTest, ColoringIsValidOnAllKernelsAfterNew) {
     Function &F = *M->functions()[0];
     runPipeline(F, PipelineKind::New);
     RegAllocOptions Opts;
-    Opts.NumRegisters = 6;
+    Opts.Machine = uniformMachine(6);
     RegAllocResult R = allocateRegisters(F, Opts);
     checkColoring(F, R);
     EXPECT_LE(R.RegistersUsed, 6u) << Spec.Name;
@@ -99,7 +99,7 @@ TEST(GraphColoringAllocatorTest, ManyRegistersMeansNoSpills) {
     Function &F = *M->functions()[0];
     runPipeline(F, PipelineKind::New);
     RegAllocOptions Opts;
-    Opts.NumRegisters = 64;
+    Opts.Machine = uniformMachine(64);
     RegAllocResult R = allocateRegisters(F, Opts);
     EXPECT_TRUE(R.Spilled.empty()) << Spec.Name;
     checkColoring(F, R);
@@ -110,7 +110,7 @@ TEST(GraphColoringAllocatorTest, DeterministicAssignments) {
   auto M1 = parseSingleFunctionOrDie(testprogs::NestedLoops);
   auto M2 = parseSingleFunctionOrDie(testprogs::NestedLoops);
   RegAllocOptions Opts;
-  Opts.NumRegisters = 4;
+  Opts.Machine = uniformMachine(4);
   RegAllocResult R1 = allocateRegisters(*M1->functions()[0], Opts);
   RegAllocResult R2 = allocateRegisters(*M2->functions()[0], Opts);
   EXPECT_EQ(R1.RegisterOf, R2.RegisterOf);
@@ -128,7 +128,7 @@ TEST(GraphColoringAllocatorTest, CoalescingReducesRegisterPressureVsStandard) {
     runPipeline(*MN->functions()[0], PipelineKind::New);
     runPipeline(*MS->functions()[0], PipelineKind::Standard);
     RegAllocOptions Opts;
-    Opts.NumRegisters = 32;
+    Opts.Machine = uniformMachine(32);
     RegAllocResult RN = allocateRegisters(*MN->functions()[0], Opts);
     RegAllocResult RS = allocateRegisters(*MS->functions()[0], Opts);
     if (RN.RegistersUsed > RS.RegistersUsed)

@@ -7,6 +7,7 @@
 
 #include "service/CompilationService.h"
 
+#include "server/ResultCache.h"
 #include "service/BatchReport.h"
 #include "service/WorkUnit.h"
 #include <filesystem>
@@ -143,6 +144,41 @@ join:
   Opts.EnforceStrictness = true;
   Report = CompilationService(Opts).run(Units);
   EXPECT_TRUE(Report.Units[0].ok()) << Report.Units[0].Error;
+}
+
+TEST(CompilationServiceTest, UnitWithPhisIsAVerifyError) {
+  // Compiles build SSA themselves, so a strict input that already has phis
+  // is rejected up front, on every validation path, not compiled.
+  const char *WithPhi = R"(
+func @joined(%c) {
+entry:
+  cbr %c, a, b
+a:
+  %x = const 1
+  br join
+b:
+  %z = const 2
+  br join
+join:
+  %y = phi [%x, a], [%z, b]
+  ret %y
+}
+)";
+  std::vector<WorkUnit> Units = {WorkUnit::fromSource("joined", WithPhi),
+                                 WorkUnit::fromSource("good", GoodSource)};
+  ResultCache Cache;
+  for (bool Enforce : {false, true}) {
+    for (ResultCache *C : {static_cast<ResultCache *>(nullptr), &Cache}) {
+      ServiceOptions Opts;
+      Opts.EnforceStrictness = Enforce;
+      Opts.Cache = C;
+      BatchReport Report = CompilationService(Opts).run(Units);
+      EXPECT_EQ(Report.Units[0].Status, UnitStatus::VerifyError);
+      EXPECT_EQ(Report.Units[0].Error,
+                "@joined: input has phis; compiles start from phi-free code");
+      EXPECT_TRUE(Report.Units[1].ok()) << Report.Units[1].Error;
+    }
+  }
 }
 
 TEST(CompilationServiceTest, LoopingUnitIsBoundedByStepLimit) {

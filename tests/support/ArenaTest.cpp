@@ -2,7 +2,6 @@
 
 #include "support/Arena.h"
 
-#include "support/MemoryTracker.h"
 #include <cstdint>
 #include <cstring>
 #include <gtest/gtest.h>
@@ -73,25 +72,6 @@ TEST(ArenaTest, BytesUsedCountsPayloadOnly) {
   A.allocate(10, 1);
   A.allocate(6, 1);
   EXPECT_EQ(A.bytesUsed(), 16u);
-}
-
-TEST(ArenaTest, ReportsReservationsToTracker) {
-  MemoryTracker Tracker;
-  {
-    Arena A(1024, &Tracker);
-    EXPECT_EQ(Tracker.currentBytes(), 0u) << "no chunk until first use";
-    A.allocateArray<unsigned>(16);
-    EXPECT_EQ(Tracker.currentBytes(), A.bytesReserved());
-    for (unsigned I = 0; I != 1000; ++I)
-      A.allocateArray<unsigned>(8);
-    EXPECT_EQ(Tracker.currentBytes(), A.bytesReserved());
-    // reset() retains chunks, so the tracked footprint must not drop.
-    size_t Reserved = A.bytesReserved();
-    A.reset();
-    EXPECT_EQ(Tracker.currentBytes(), Reserved);
-  }
-  EXPECT_EQ(Tracker.currentBytes(), 0u) << "destruction releases everything";
-  EXPECT_GT(Tracker.peakBytes(), 0u);
 }
 
 } // namespace

@@ -185,6 +185,12 @@ int main(int Argc, char **Argv) {
                    Error.c_str());
       return 1;
     }
+    if (F.phiCount() != 0) {
+      std::fprintf(stderr,
+                   "@%s: input has phis; compiles start from phi-free code\n",
+                   F.name().c_str());
+      return 1;
+    }
     if (!isStrict(F)) {
       std::fprintf(stderr,
                    "@%s is not strict (a use may precede every definition); "
