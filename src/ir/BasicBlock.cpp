@@ -38,6 +38,15 @@ Instruction *BasicBlock::insertAt(unsigned Index,
   return It->get();
 }
 
+void BasicBlock::adopt(InstList &To, InstList &From) {
+  for (std::unique_ptr<Instruction> &I : From) {
+    assert(!I->isTerminator() && !I->isPhi() && "bad insertion");
+    I->Parent = this;
+    To.push_back(std::move(I));
+  }
+  From.clear();
+}
+
 void BasicBlock::eraseInst(Instruction *I) {
   auto It = std::find_if(Insts.begin(), Insts.end(),
                          [&](const auto &P) { return P.get() == I; });

@@ -77,6 +77,29 @@ public:
     return Removed;
   }
 
+  /// Inserts instructions around existing ones in one pass that keeps the
+  /// body's order: \p Fn(Instruction &I, InstList &Before, InstList &After)
+  /// sees each body instruction once and appends what must land right
+  /// before and right after it (nothing after the terminator). The batch
+  /// counterpart of insertAt, as eraseInstsIf is of eraseInst: inserting
+  /// one at a time costs a shift per instruction.
+  using InstList = std::vector<std::unique_ptr<Instruction>>;
+  template <typename FnT> void insertAround(FnT Fn) {
+    InstList Out, Before, After;
+    Out.reserve(Insts.size());
+    for (std::unique_ptr<Instruction> &I : Insts) {
+      Fn(*I, Before, After);
+      assert((After.empty() || !I->isTerminator()) &&
+             "inserting past the terminator");
+      if (!Before.empty())
+        adopt(Out, Before);
+      Out.push_back(std::move(I));
+      if (!After.empty())
+        adopt(Out, After);
+    }
+    Insts = std::move(Out);
+  }
+
   /// Detaches the non-terminator body instruction \p I, returning ownership
   /// so a pass can re-insert it elsewhere (code motion).
   std::unique_ptr<Instruction> takeInst(Instruction *I);
@@ -114,6 +137,10 @@ private:
   friend class Function;
   BasicBlock(unsigned Id, std::string Name, Function *Parent)
       : Id(Id), Name(std::move(Name)), Parent(Parent) {}
+
+  /// Moves \p From's instructions to the end of \p To as this block's own,
+  /// leaving \p From empty (insertAround's splice).
+  void adopt(InstList &To, InstList &From);
 
   template <typename PredT>
   static unsigned eraseIf(std::vector<std::unique_ptr<Instruction>> &List,

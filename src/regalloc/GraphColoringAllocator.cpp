@@ -12,11 +12,26 @@
 #include "regalloc/MachineModel.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
+#include <tuple>
 
 using namespace fcc;
 
 RegAllocResult fcc::allocateRegisters(const Function &F,
                                       const RegAllocOptions &Opts) {
+  DominatorTree DT(F);
+  LoopInfo LI(DT);
+  std::vector<unsigned> LoopDepth(F.numBlocks());
+  for (const auto &B : F.blocks())
+    LoopDepth[B->id()] = LI.loopDepth(B.get());
+  return allocateRegisters(F, Opts, Liveness(F), LoopDepth);
+}
+
+RegAllocResult fcc::allocateRegisters(const Function &F,
+                                      const RegAllocOptions &Opts,
+                                      const Liveness &LV,
+                                      const std::vector<unsigned> &LoopDepth) {
   assert(F.phiCount() == 0 && "allocate after SSA destruction");
   const MachineModel &MM = Opts.Machine;
   unsigned N = F.numVariables();
@@ -35,7 +50,6 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
     if (!Flagged(Opts.StackResident, V->id()))
       Nodes.push_back(V.get());
 
-  Liveness LV(F);
   InterferenceGraph::BuildOptions BuildOpts;
   BuildOpts.BuildAdjacencyLists = true;
   BuildOpts.Restrict = &Nodes;
@@ -50,12 +64,10 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
   }
 
   // Spill costs: uses and defs weighted 10^depth, Chaitin's classic metric.
-  DominatorTree DT(F);
-  LoopInfo LI(DT);
   std::vector<double> Cost(N, 0.0);
   for (const auto &B : F.blocks()) {
     double Weight = 1.0;
-    for (unsigned D = LI.loopDepth(B.get()); D != 0; --D)
+    for (unsigned D = LoopDepth[B->id()]; D != 0; --D)
       Weight *= 10.0;
     for (const auto &I : B->insts()) {
       I->forEachUsedVar([&](Variable *V) { Cost[V->id()] += Weight; });
@@ -64,67 +76,97 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
     }
   }
 
-  // Only same-class neighbors compete for colors: classes own disjoint
-  // global index ranges, so a cross-class edge never constrains a color
-  // choice. Degrees below are therefore same-class degrees.
-  auto SameClassDegree = [&](const Variable *V) {
-    unsigned Deg = 0;
-    for (unsigned Neighbor : Graph.neighbors(V))
-      if (Result.ClassOf[Graph.nodeVariable(Neighbor)->id()] ==
-          Result.ClassOf[V->id()])
-        ++Deg;
-    return Deg;
+  // Simplify: peel nodes whose same-class degree is below their class's
+  // bank size, lowest position in Nodes first; when stuck, push the
+  // cheapest (cost / degree) candidate optimistically. Graph node indices
+  // are positions in Nodes (the restricted universe), so simplify works in
+  // positions. Only same-class neighbors compete for colors: classes own
+  // disjoint global index ranges, so a cross-class edge never constrains a
+  // color choice. Degrees below are therefore same-class degrees.
+  const unsigned NumNodes = static_cast<unsigned>(Nodes.size());
+  std::vector<unsigned> ClassAt(NumNodes);
+  for (unsigned P = 0; P != NumNodes; ++P) {
+    assert(Graph.nodeVariable(P) == Nodes[P] && "node index is not position");
+    ClassAt[P] = Result.ClassOf[Nodes[P]->id()];
+  }
+  std::vector<unsigned> CurDegree(NumNodes, 0);
+  std::vector<bool> OnStack(NumNodes, false);
+  // Trivially colorable nodes, lowest position on top. Degrees only fall,
+  // so a node enters once, when its degree drops below its bank size, and
+  // stays colorable until picked.
+  std::priority_queue<unsigned, std::vector<unsigned>, std::greater<>>
+      Colorable;
+  for (unsigned P = 0; P != NumNodes; ++P) {
+    for (unsigned Neighbor : Graph.neighbors(Nodes[P]))
+      CurDegree[P] += ClassAt[Neighbor] == ClassAt[P];
+    if (CurDegree[P] < ClassK[ClassAt[P]])
+      Colorable.push(P);
+  }
+
+  // Blocked picks take the least (InfiniteCost, cost / (degree + 1),
+  // position). Dissolved spill machinery (InfiniteCost) is only ever
+  // picked when nothing else remains: re-spilling it cannot reduce
+  // interference. The heap is lazy and built at the first blocked pick:
+  // keys only rise as degrees fall, so a top keyed at a stale degree is
+  // re-keyed and pushed back, and a top keyed at its current degree is the
+  // true minimum.
+  struct Candidate {
+    bool Infinite;
+    double Ratio;
+    unsigned Pos;
+    unsigned Degree; // CurDegree[Pos] when keyed.
+  };
+  auto Later = [](const Candidate &A, const Candidate &B) {
+    return std::tie(A.Infinite, A.Ratio, A.Pos) >
+           std::tie(B.Infinite, B.Ratio, B.Pos);
+  };
+  auto KeyOf = [&](unsigned P) {
+    unsigned Id = Nodes[P]->id();
+    return Candidate{Flagged(Opts.InfiniteCost, Id),
+                     Cost[Id] / (CurDegree[P] + 1.0), P, CurDegree[P]};
+  };
+  std::vector<Candidate> Blocked;
+  bool BlockedBuilt = false;
+  auto PickBlocked = [&] {
+    if (!BlockedBuilt) {
+      BlockedBuilt = true;
+      for (unsigned P = 0; P != NumNodes; ++P)
+        if (!OnStack[P])
+          Blocked.push_back(KeyOf(P));
+      std::make_heap(Blocked.begin(), Blocked.end(), Later);
+    }
+    for (;;) {
+      std::pop_heap(Blocked.begin(), Blocked.end(), Later);
+      Candidate Top = Blocked.back();
+      Blocked.pop_back();
+      if (OnStack[Top.Pos])
+        continue;
+      if (Top.Degree == CurDegree[Top.Pos])
+        return Top.Pos;
+      Blocked.push_back(KeyOf(Top.Pos));
+      std::push_heap(Blocked.begin(), Blocked.end(), Later);
+    }
   };
 
-  // Simplify: peel nodes whose same-class degree is below their class's
-  // bank size; when stuck, push the cheapest (cost / degree) candidate
-  // optimistically.
-  std::vector<unsigned> CurDegree(N, 0);
-  std::vector<bool> OnStack(N, false);
-  for (const Variable *V : Nodes)
-    CurDegree[V->id()] = SameClassDegree(V);
-
   std::vector<const Variable *> Stack;
-  Stack.reserve(Nodes.size());
-  unsigned RemainingNodes = static_cast<unsigned>(Nodes.size());
-  while (RemainingNodes != 0) {
-    const Variable *Picked = nullptr;
-    // Prefer any trivially colorable node (deterministic: lowest id).
-    for (const Variable *V : Nodes)
-      if (!OnStack[V->id()] &&
-          CurDegree[V->id()] < ClassK[Result.ClassOf[V->id()]]) {
-        Picked = V;
-        break;
-      }
-    if (!Picked) {
-      // Blocked: choose the best spill candidate but push it anyway —
-      // Briggs's optimism defers the decision to select. Dissolved spill
-      // machinery (InfiniteCost) is only ever picked when nothing else
-      // remains: re-spilling it cannot reduce interference.
-      bool BestInfinite = true;
-      double Best = 0.0;
-      for (const Variable *V : Nodes) {
-        if (OnStack[V->id()])
-          continue;
-        bool Infinite = Flagged(Opts.InfiniteCost, V->id());
-        double Ratio = Cost[V->id()] / (CurDegree[V->id()] + 1.0);
-        if (!Picked || (BestInfinite && !Infinite) ||
-            (BestInfinite == Infinite && Ratio < Best)) {
-          Picked = V;
-          Best = Ratio;
-          BestInfinite = Infinite;
-        }
-      }
+  Stack.reserve(NumNodes);
+  while (Stack.size() != NumNodes) {
+    unsigned Picked = 0;
+    if (Colorable.empty()) {
+      // Blocked: push the best spill candidate anyway — Briggs's optimism
+      // defers the decision to select.
+      Picked = PickBlocked();
+    } else {
+      Picked = Colorable.top();
+      Colorable.pop();
     }
-    OnStack[Picked->id()] = true;
-    Stack.push_back(Picked);
-    --RemainingNodes;
-    for (unsigned Neighbor : Graph.neighbors(Picked)) {
-      unsigned Id = Graph.nodeVariable(Neighbor)->id();
-      if (!OnStack[Id] && CurDegree[Id] > 0 &&
-          Result.ClassOf[Id] == Result.ClassOf[Picked->id()])
-        --CurDegree[Id];
-    }
+    OnStack[Picked] = true;
+    Stack.push_back(Nodes[Picked]);
+    unsigned C = ClassAt[Picked];
+    for (unsigned Neighbor : Graph.neighbors(Nodes[Picked]))
+      if (!OnStack[Neighbor] && CurDegree[Neighbor] > 0 &&
+          ClassAt[Neighbor] == C && --CurDegree[Neighbor] + 1 == ClassK[C])
+        Colorable.push(Neighbor);
   }
 
   // Select: pop and color against already-colored neighbors, inside the

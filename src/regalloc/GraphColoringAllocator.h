@@ -34,6 +34,7 @@
 namespace fcc {
 
 class Function;
+class Liveness;
 class Variable;
 
 /// Allocation parameters.
@@ -86,6 +87,16 @@ struct RegAllocResult {
 /// register index.
 RegAllocResult allocateRegisters(const Function &F,
                                  const RegAllocOptions &Opts);
+
+/// The same allocation over analyses the caller already holds: \p LV is
+/// \p F's dense liveness and \p LoopDepth the loop-nesting depth of each
+/// block, indexed by block id. insertSpillCode shares one liveness solve
+/// per round and one loop nest per function this way; the overload above
+/// computes both.
+RegAllocResult allocateRegisters(const Function &F,
+                                 const RegAllocOptions &Opts,
+                                 const Liveness &LV,
+                                 const std::vector<unsigned> &LoopDepth);
 
 } // namespace fcc
 

@@ -174,6 +174,43 @@ TEST(FunctionTest, EraseInstsIfCompactsTheBodyInOnePass) {
   EXPECT_EQ(B->size(), 4u);
 }
 
+TEST(FunctionTest, InsertAroundSplicesBeforeAndAfterInOnePass) {
+  Function F("f");
+  BasicBlock *B = F.makeBlock("entry");
+  std::vector<Variable *> Vars;
+  for (unsigned I = 0; I != 3; ++I) {
+    Vars.push_back(F.makeVariable("v" + std::to_string(I)));
+    B->append(std::make_unique<Instruction>(
+        Opcode::Const, Vars.back(), std::vector<Operand>{Operand::imm(I)}));
+  }
+  B->append(std::make_unique<Instruction>(
+      Opcode::Ret, nullptr, std::vector<Operand>{Operand::var(Vars[0])}));
+
+  // Wrap v1's def in a reload and a spill, and reload before the return.
+  B->insertAround([&](Instruction &I, BasicBlock::InstList &Before,
+                      BasicBlock::InstList &After) {
+    if (I.getDef() != Vars[1] && !I.isTerminator())
+      return;
+    Before.push_back(std::make_unique<Instruction>(
+        Opcode::Reload, F.makeVariable("r"),
+        std::vector<Operand>{Operand::imm(0)}));
+    if (!I.isTerminator())
+      After.push_back(std::make_unique<Instruction>(
+          Opcode::Spill, nullptr,
+          std::vector<Operand>{Operand::var(Vars[1]), Operand::imm(0)}));
+  });
+  const Opcode Want[] = {Opcode::Const, Opcode::Reload, Opcode::Const,
+                         Opcode::Spill, Opcode::Const,  Opcode::Reload,
+                         Opcode::Ret};
+  ASSERT_EQ(B->size(), 7u);
+  for (unsigned I = 0; I != 7; ++I) {
+    EXPECT_EQ(B->insts()[I]->opcode(), Want[I]) << "position " << I;
+    EXPECT_EQ(B->insts()[I]->getParent(), B) << "position " << I;
+  }
+  EXPECT_EQ(B->insts()[2]->getDef(), Vars[1]);
+  EXPECT_TRUE(B->hasTerminator());
+}
+
 TEST(FunctionTest, ErasePhisIfLeavesTheBodyAlone) {
   Function F("f");
   BasicBlock *E = F.makeBlock("entry");

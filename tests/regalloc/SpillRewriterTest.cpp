@@ -8,9 +8,14 @@
 #include "ir/IRParser.h"
 #include "ir/Variable.h"
 #include "ir/IRPrinter.h"
+#include "ir/Module.h"
 #include "ir/Verifier.h"
+#include "opt/PassManager.h"
 #include "pipeline/Pipeline.h"
+#include "workload/ProgramGenerator.h"
+#include <chrono>
 #include <gtest/gtest.h>
+#include <set>
 #include <stdexcept>
 
 using namespace fcc;
@@ -56,6 +61,29 @@ entry:
 }
 )";
 
+/// LiveThroughLoop with the names the spill rewriter generates first
+/// already taken: variables %st0 and %st1 and the exit block spb0.
+constexpr const char *TakenSpillNames = R"(
+func @taken(%n) {
+entry:
+  %st0 = mul %n, 7
+  %i = const 0
+  %acc = const 0
+  br header
+header:
+  %c = cmplt %i, %n
+  cbr %c, body, spb0
+body:
+  %st1 = mul %i, %i
+  %acc = add %acc, %st1
+  %i = add %i, 1
+  br header
+spb0:
+  %r = add %acc, %st0
+  ret %r
+}
+)";
+
 ExecutionResult execute(const Function &F, const std::vector<int64_t> &Args) {
   return Interpreter().run(F, Args);
 }
@@ -79,6 +107,19 @@ void checkComplete(const SpillRewriteResult &R, const MachineModel &MM,
     if (Reg >= 0) {
       EXPECT_LT(static_cast<unsigned>(Reg), MM.totalRegisters()) << Label;
     }
+}
+
+/// Every colored variable must sit inside its own class's bank.
+void expectInsideClassBanks(const Function &F, const SpillRewriteResult &R,
+                            const MachineModel &MM, const std::string &Label) {
+  std::vector<unsigned> ClassOf = classifyVariables(F, MM);
+  for (const auto &V : F.variables()) {
+    int Reg = R.Alloc.RegisterOf[V->id()];
+    if (Reg < 0)
+      continue;
+    EXPECT_EQ(MM.classOfRegister(static_cast<unsigned>(Reg)), ClassOf[V->id()])
+        << Label << ": " << V->name() << " colored outside its class bank";
+  }
 }
 
 TEST(SpillRewriterTest, KernelsConvergeAndStayCorrectAtEveryBank) {
@@ -225,17 +266,130 @@ TEST(SpillRewriterTest, TwoClassMachineRespectsClassBanks) {
   SpillRewriteResult R = insertSpillCode(F, Opts);
   checkComplete(R, Opts.Machine, "arraysum/embedded");
 
-  // Every colored variable must sit inside its own class's bank.
-  std::vector<unsigned> ClassOf = classifyVariables(F, Opts.Machine);
-  for (const auto &V : F.variables()) {
-    int Reg = R.Alloc.RegisterOf[V->id()];
-    if (Reg < 0)
-      continue;
-    EXPECT_EQ(Opts.Machine.classOfRegister(static_cast<unsigned>(Reg)),
-              ClassOf[V->id()])
-        << V->name() << " colored outside its class bank";
-  }
+  expectInsideClassBanks(F, R, Opts.Machine, "arraysum/embedded");
   expectSameBehavior(Ref, execute(F, {6}), "arraysum/embedded");
+}
+
+TEST(SpillRewriterTest, GeneratedProgramsConvergeInsideTwoClassBanks) {
+  // The fuzzer's oracle allocates only uniform banks; these runs put the
+  // per-class thresholds of simplify and select under randomized programs,
+  // straight from the New pipeline and after the optimizer.
+  std::vector<PassKind> Passes;
+  ASSERT_TRUE(parsePassSequence("sccp,adce,pre", Passes));
+  unsigned Spilling = 0;
+  for (const char *Name : {"dsp", "embedded"}) {
+    MachineModel MM;
+    ASSERT_TRUE(parseMachineModel(Name, MM));
+    for (bool Optimize : {false, true})
+      for (unsigned Run = 0; Run != 50; ++Run) {
+        GeneratorOptions G = fuzzerOptionsForRun(/*MasterSeed=*/17, Run);
+        Module M;
+        Function &F = *generateProgram(M, "g", G);
+        std::vector<int64_t> Args;
+        for (unsigned P = 0; P != G.NumParams; ++P)
+          Args.push_back(static_cast<int64_t>((Run + P) % 7) - 1);
+        ExecutionResult Ref = execute(F, Args);
+
+        PipelineOptions PO;
+        if (Optimize)
+          PO.Passes = Passes;
+        runPipeline(F, PO);
+        SpillRewriteOptions Opts;
+        Opts.Machine = MM;
+        SpillRewriteResult R = insertSpillCode(F, Opts);
+
+        std::string Label = std::string(Name) + (Optimize ? "+passes" : "") +
+                            "/run" + std::to_string(Run);
+        checkComplete(R, MM, Label);
+        expectInsideClassBanks(F, R, MM, Label);
+        std::string Error;
+        ASSERT_TRUE(verifyFunction(F, Error)) << Label << ": " << Error;
+        expectSameBehavior(Ref, execute(F, Args), Label);
+        Spilling += R.Iterations > 1;
+      }
+  }
+  // Most of these programs overflow a bank of three or six.
+  EXPECT_GT(Spilling, 100u);
+}
+
+TEST(SpillRewriterTest, FreshNamesSkipNamesTheInputTook) {
+  auto M = parseSingleFunctionOrDie(TakenSpillNames);
+  Function &F = *M->functions()[0];
+  ExecutionResult Ref = execute(F, {9});
+  const unsigned InputVars = F.numVariables();
+
+  SpillRewriteOptions Opts;
+  Opts.Machine = uniformMachine(3);
+  SpillRewriteResult R = insertSpillCode(F, Opts);
+  checkComplete(R, Opts.Machine, "taken/uniform3");
+  // Both rewrites ran: a split made edge blocks, and spill-everywhere
+  // made temporaries.
+  EXPECT_GT(R.RangesSplit, 0u);
+  EXPECT_GT(F.numVariables(), InputVars);
+
+  std::set<std::string> VarNames, BlockNames;
+  for (const auto &V : F.variables())
+    EXPECT_TRUE(VarNames.insert(V->name()).second)
+        << "variable %" << V->name() << " named twice";
+  for (const auto &B : F.blocks())
+    EXPECT_TRUE(BlockNames.insert(B->name()).second)
+        << "block " << B->name() << " named twice";
+  // The fresh names resumed right after the taken ones.
+  EXPECT_TRUE(VarNames.count("st2"));
+  EXPECT_TRUE(BlockNames.count("spb1"));
+
+  std::string Text = printFunction(F);
+  std::string Error;
+  auto Reparsed = parseModule(Text, Error);
+  ASSERT_NE(Reparsed, nullptr) << Error;
+  EXPECT_EQ(printFunction(*Reparsed->functions()[0]), Text);
+  expectSameBehavior(Ref, execute(F, {9}), "taken/uniform3");
+}
+
+TEST(RegallocCliffTest, GeneratedProgramAllocatesOnDspUnderOneSecond) {
+  // big-shapes' gen400 recipe. Rebuilding dominators, loops and liveness
+  // for every split victim, and rescanning every node at every simplify
+  // pick, took seconds here.
+  GeneratorOptions G;
+  G.Seed = 11;
+  G.SizeBudget = 400;
+  G.NumVars = 74;
+  G.NumParams = 3;
+  G.MaxLoopDepth = 3;
+  G.LoopTripMax = 3;
+  G.CopyPercent = 20;
+  G.MemPercent = 10;
+  G.RunLength = 6;
+  const std::vector<int64_t> Args = {3, 5, 7};
+  MachineModel Dsp;
+  ASSERT_TRUE(parseMachineModel("dsp", Dsp));
+
+  Module M;
+  Function &F = *generateProgram(M, "gen400", G);
+  ExecutionResult Ref = execute(F, Args);
+  PipelineOptions Opts;
+  Opts.Machine = &Dsp;
+  auto Start = std::chrono::steady_clock::now();
+  PipelineResult Result = runPipeline(F, Opts);
+  std::chrono::duration<double> Took =
+      std::chrono::steady_clock::now() - Start;
+  EXPECT_LT(Took.count(), 1.0)
+      << Result.RegallocIterations << " color/rewrite rounds";
+  ASSERT_TRUE(Result.Allocated);
+  EXPECT_GT(Result.RegallocIterations, 1u);
+  std::string Error;
+  ASSERT_TRUE(verifyFunction(F, Error)) << Error;
+  expectSameBehavior(Ref, execute(F, Args), "gen400/dsp");
+
+  // The same compile in two steps exposes the final allocation: its spill
+  // set is empty, and the code matches the one-step compile.
+  Module M2;
+  Function &F2 = *generateProgram(M2, "gen400", G);
+  runPipeline(F2, PipelineKind::New);
+  SpillRewriteOptions SR;
+  SR.Machine = Dsp;
+  checkComplete(insertSpillCode(F2, SR), Dsp, "gen400/dsp");
+  EXPECT_EQ(printFunction(F2), printFunction(F));
 }
 
 } // namespace
