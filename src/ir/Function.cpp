@@ -6,17 +6,18 @@
 
 using namespace fcc;
 
-Variable *Function::makeVariable(const std::string &VarName,
+Variable *Function::makeVariable(std::string VarName,
                                  const Variable *Origin) {
   unsigned Id = static_cast<unsigned>(Vars.size());
-  Vars.push_back(std::unique_ptr<Variable>(new Variable(Id, VarName, Origin)));
+  Vars.push_back(std::unique_ptr<Variable>(
+      new Variable(Id, std::move(VarName), Origin)));
   return Vars.back().get();
 }
 
-BasicBlock *Function::makeBlock(const std::string &BlockName) {
+BasicBlock *Function::makeBlock(std::string BlockName) {
   unsigned Id = static_cast<unsigned>(Blocks.size());
-  Blocks.push_back(
-      std::unique_ptr<BasicBlock>(new BasicBlock(Id, BlockName, this)));
+  Blocks.push_back(std::unique_ptr<BasicBlock>(
+      new BasicBlock(Id, std::move(BlockName), this)));
   return Blocks.back().get();
 }
 

@@ -30,12 +30,12 @@ public:
 
   /// Creates a fresh variable. \p Origin, when given, marks the new variable
   /// as an SSA version of an existing one.
-  Variable *makeVariable(const std::string &VarName,
+  Variable *makeVariable(std::string VarName,
                          const Variable *Origin = nullptr);
 
   /// Creates a fresh basic block appended to the block list. The first block
   /// ever created is the entry block.
-  BasicBlock *makeBlock(const std::string &BlockName);
+  BasicBlock *makeBlock(std::string BlockName);
 
   /// Declares \p V as a function parameter (defined on entry).
   void addParam(Variable *V) { Params.push_back(V); }

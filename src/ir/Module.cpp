@@ -4,8 +4,8 @@
 
 using namespace fcc;
 
-Function *Module::makeFunction(const std::string &Name) {
-  Funcs.push_back(std::make_unique<Function>(Name));
+Function *Module::makeFunction(std::string Name) {
+  Funcs.push_back(std::make_unique<Function>(std::move(Name)));
   return Funcs.back().get();
 }
 

@@ -25,7 +25,7 @@ public:
   Module &operator=(const Module &) = delete;
 
   /// Creates an empty function named \p Name.
-  Function *makeFunction(const std::string &Name);
+  Function *makeFunction(std::string Name);
 
   const std::vector<std::unique_ptr<Function>> &functions() const {
     return Funcs;

@@ -1,0 +1,79 @@
+//===- tests/common/ShapeSources.h - Textual IR at scale --------*- C++ -*-===//
+///
+/// \file
+/// Textual-IR generators for shape tests (deep block chains, fat blocks)
+/// and the corpus the parser's round-trip and mutation tests share.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef FCC_TESTS_COMMON_SHAPESOURCES_H
+#define FCC_TESTS_COMMON_SHAPESOURCES_H
+
+#include "ir/IRPrinter.h"
+#include "ir/Module.h"
+#include "support/SplitMix64.h"
+#include "workload/ProgramGenerator.h"
+#include <string>
+#include <vector>
+
+namespace fcc::testprogs {
+
+/// A straight chain of \p Depth `br`-only blocks between an entry that
+/// defines %x and a tail that returns 2 * (%a + 1); the middle block folds a
+/// copy, so renaming has a name to push and a copy to erase deep down.
+inline std::string chainSource(unsigned Depth) {
+  std::string Text = "func @chain(%a) {\nentry:\n  %x = add %a, 1\n  br b0\n";
+  for (unsigned I = 0; I != Depth; ++I) {
+    Text += "b" + std::to_string(I) + ":\n";
+    if (I == Depth / 2)
+      Text += "  %y = copy %x\n";
+    Text += I + 1 == Depth ? std::string("  %r = add %x, %y\n  ret %r\n")
+                           : "  br b" + std::to_string(I + 1) + "\n";
+  }
+  return Text + "}\n";
+}
+
+/// One block of \p Statements seeded statements over 24 variables, half of
+/// them copies, ending in a sum of every variable.
+inline std::string fatBlockSource(unsigned Statements, uint64_t Seed) {
+  static const char *Arith[] = {"add", "sub", "mul"};
+  const unsigned Vars = 24;
+  auto Var = [](uint64_t I) { return "%v" + std::to_string(I); };
+  SplitMix64 Rng(Seed);
+  std::string Text = "func @fat(%a) {\nentry:\n";
+  for (unsigned I = 0; I != Vars; ++I)
+    Text += "  " + Var(I) + " = add %a, " + std::to_string(I) + "\n";
+  for (unsigned I = 0; I != Statements; ++I) {
+    std::string Dst = Var(Rng.nextBelow(Vars));
+    std::string Src = Var(Rng.nextBelow(Vars));
+    if (Rng.chancePercent(50)) {
+      Text += "  " + Dst + " = copy " + Src + "\n";
+      continue;
+    }
+    const char *Op = Arith[Rng.nextBelow(3)];
+    Text += "  " + Dst + " = " + Op + " " + Src + ", " +
+            Var(Rng.nextBelow(Vars)) + "\n";
+  }
+  Text += "  %sum = add %v0, %v1\n";
+  for (unsigned I = 2; I != Vars; ++I)
+    Text += "  %sum = add %sum, " + Var(I) + "\n";
+  return Text + "  ret %sum\n}\n";
+}
+
+/// The parser's property corpus: 300 printed generator programs (the
+/// fuzzer's knob sweep), a 400-block chain and a 2 000-statement block.
+inline std::vector<std::string> parserCorpus() {
+  std::vector<std::string> Texts;
+  for (unsigned I = 0; I != 300; ++I) {
+    Module M;
+    generateProgram(M, "g" + std::to_string(I), fuzzerOptionsForRun(29, I));
+    Texts.push_back(printModule(M));
+  }
+  Texts.push_back(chainSource(400));
+  Texts.push_back(fatBlockSource(2000, 5));
+  return Texts;
+}
+
+} // namespace fcc::testprogs
+
+#endif // FCC_TESTS_COMMON_SHAPESOURCES_H

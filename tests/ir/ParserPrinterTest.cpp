@@ -8,6 +8,8 @@
 #include "ir/Variable.h"
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace fcc;
 
 namespace {
@@ -84,6 +86,30 @@ entry:               ; block comment
 )");
   Function *F = M->functions()[0].get();
   EXPECT_EQ(F->entry()->insts()[0]->getOperand(0).getImm(), -42);
+}
+
+TEST(ParserTest, IntegerLiteralsCoverInt64AndNoMore) {
+  auto M = parseOk(R"(
+func @f() {
+entry:
+  %max = const 9223372036854775807
+  %min = const -9223372036854775808
+  store %max, %min
+  ret %min
+}
+)");
+  const BasicBlock *B = M->functions()[0]->entry();
+  EXPECT_EQ(B->insts()[0]->getOperand(0).getImm(), INT64_MAX);
+  EXPECT_EQ(B->insts()[1]->getOperand(0).getImm(), INT64_MIN);
+
+  for (const char *Literal : {"9223372036854775808", "-9223372036854775809"}) {
+    std::string Text = "func @f() {\nentry:\n  %x = const 1\n  ret ";
+    Text += Literal;
+    Text += "\n}\n";
+    std::string Error;
+    EXPECT_EQ(parseModule(Text, Error), nullptr) << Literal;
+    EXPECT_EQ(Error, "line 4: integer literal out of range") << Literal;
+  }
 }
 
 TEST(ParserTest, ParsesMultipleFunctions) {

@@ -8,6 +8,7 @@
 
 #include "ir/IRParser.h"
 
+#include "../common/ShapeSources.h"
 #include "../common/TestPrograms.h"
 #include "ir/Function.h"
 #include "ir/IRPrinter.h"
@@ -15,6 +16,8 @@
 #include "ir/Verifier.h"
 #include "support/SplitMix64.h"
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace fcc;
 
@@ -72,6 +75,73 @@ TEST_P(ParserMutationTest, MutatedSourcesNeverCrashTheParser) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserMutationTest, ::testing::Range(1u, 21u));
+
+/// True for "line N: <message>" with N a line of \p Text (or one past its
+/// end, where the end-of-input token sits).
+bool hasLinePrefix(const std::string &Error, const std::string &Text) {
+  size_t Colon = Error.find(": ");
+  if (Error.rfind("line ", 0) != 0 || Colon == std::string::npos ||
+      Colon == 5 || Colon + 2 == Error.size())
+    return false;
+  unsigned long Line = 0;
+  for (size_t I = 5; I != Colon; ++I) {
+    if (Error[I] < '0' || Error[I] > '9')
+      return false;
+    Line = Line * 10 + (Error[I] - '0');
+  }
+  return Line >= 1 &&
+         Line <= 1 + static_cast<unsigned long>(
+                         std::count(Text.begin(), Text.end(), '\n'));
+}
+
+/// Whether \p Error is the one diagnostic without a line: a block that ends
+/// without a terminator.
+bool isMissingTerminator(const std::string &Error) {
+  return Error.rfind("block '", 0) == 0 &&
+         Error.find("' lacks a terminator") != std::string::npos;
+}
+
+TEST(ParserMutationSweepTest, EveryRejectionIsALineNumberedDiagnostic) {
+  // Truncations, byte deletions, substitutions from the grammar's own
+  // characters and 20-digit literals, over the round-trip corpus.
+  const std::string Subst = "%@:,=[](){}-0a; \n";
+  const char *Literals[] = {"99999999999999999999", "-99999999999999999999",
+                            "18446744073709551616", "10000000000000000000"};
+  SplitMix64 Rng(41);
+  unsigned Rejected = 0, Total = 0;
+  for (const std::string &Base : testprogs::parserCorpus()) {
+    for (unsigned Kind = 0; Kind != 8; ++Kind) {
+      std::string Text = Base;
+      size_t Pos = Rng.nextBelow(Text.size());
+      switch (Kind % 4) {
+      case 0:
+        Text.resize(Pos);
+        break;
+      case 1:
+        Text.erase(Pos, 1 + Rng.nextBelow(3));
+        break;
+      case 2:
+        Text[Pos] = Subst[Rng.nextBelow(Subst.size())];
+        break;
+      case 3:
+        Text.insert(Pos, Literals[Rng.nextBelow(std::size(Literals))]);
+        break;
+      }
+      ++Total;
+      std::string Error;
+      std::unique_ptr<Module> M;
+      EXPECT_NO_THROW(M = parseModule(Text, Error)) << Text;
+      if (M)
+        continue;
+      ++Rejected;
+      EXPECT_FALSE(Error.empty()) << Text;
+      EXPECT_TRUE(isMissingTerminator(Error) || hasLinePrefix(Error, Text))
+          << Error;
+    }
+  }
+  // Most mutants break the program; the sweep must exercise rejections.
+  EXPECT_GT(Rejected, Total / 2);
+}
 
 TEST(ParserRobustnessTest, EmptyAndWhitespaceInputs) {
   std::string Error;

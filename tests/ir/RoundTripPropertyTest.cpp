@@ -18,6 +18,7 @@
 #include "ssa/SSABuilder.h"
 #include "workload/ProgramGenerator.h"
 
+#include "../common/ShapeSources.h"
 #include "../common/TestUtils.h"
 #include <gtest/gtest.h>
 
@@ -75,5 +76,40 @@ TEST_P(RoundTripPropertyTest, EveryStagePrintsReparseably) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripPropertyTest,
                          ::testing::Range(1u, 21u));
+
+/// One line per function, variable and block: ids, names, params, preds.
+std::string describeIds(const Module &M) {
+  std::string Out;
+  for (const auto &F : M.functions()) {
+    Out += "func " + F->name() + " params";
+    for (const Variable *P : F->params())
+      Out += " " + std::to_string(P->id());
+    Out += "\n";
+    for (const auto &V : F->variables())
+      Out += "var " + std::to_string(V->id()) + " " + V->name() + "\n";
+    for (const auto &B : F->blocks()) {
+      Out += "block " + std::to_string(B->id()) + " " + B->name() + " preds";
+      for (const BasicBlock *P : B->preds())
+        Out += " " + std::to_string(P->id());
+      Out += "\n";
+    }
+  }
+  return Out;
+}
+
+TEST(TextRoundTripTest, ReparsingThePrintKeepsBytesIdsNamesAndPreds) {
+  std::vector<std::string> Texts = testprogs::parserCorpus();
+  for (size_t I = 0; I != Texts.size(); ++I) {
+    SCOPED_TRACE("corpus text " + std::to_string(I));
+    std::string Error;
+    std::unique_ptr<Module> M = parseModule(Texts[I], Error);
+    ASSERT_NE(M, nullptr) << Error;
+    std::string Printed = printModule(*M);
+    std::unique_ptr<Module> Again = parseModule(Printed, Error);
+    ASSERT_NE(Again, nullptr) << Error;
+    EXPECT_EQ(printModule(*Again), Printed);
+    EXPECT_EQ(describeIds(*Again), describeIds(*M));
+  }
+}
 
 } // namespace

@@ -9,18 +9,20 @@
 
 #include "pipeline/Pipeline.h"
 
+#include "../common/ShapeSources.h"
 #include "../common/TestUtils.h"
 #include "ir/Function.h"
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "service/CompilationService.h"
-#include "support/SplitMix64.h"
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <string>
 
 using namespace fcc;
+using testprogs::chainSource;
+using testprogs::fatBlockSource;
 
 namespace {
 
@@ -148,21 +150,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range<size_t>(0, std::size(Cases)),
                        ::testing::Values(0, 1, 2, 3)));
 
-/// A straight chain of \p Depth `br`-only blocks between an entry that
-/// defines %x and a tail that returns 2 * (%a + 1); the middle block folds a
-/// copy, so renaming has a name to push and a copy to erase deep down.
-std::string chainSource(unsigned Depth) {
-  std::string Text = "func @chain(%a) {\nentry:\n  %x = add %a, 1\n  br b0\n";
-  for (unsigned I = 0; I != Depth; ++I) {
-    Text += "b" + std::to_string(I) + ":\n";
-    if (I == Depth / 2)
-      Text += "  %y = copy %x\n";
-    Text += I + 1 == Depth ? std::string("  %r = add %x, %y\n  ret %r\n")
-                           : "  br b" + std::to_string(I + 1) + "\n";
-  }
-  return Text + "}\n";
-}
-
 TEST(DeepChainTest, CompilesAtTheDefaultStackInlineAndOnPoolWorkers) {
   // The dominator tree is as deep as the function is long, so every walk
   // over it must be iterative: at 200 000 blocks, a walk recursing once per
@@ -186,33 +173,6 @@ TEST(DeepChainTest, CompilesAtTheDefaultStackInlineAndOnPoolWorkers) {
   EXPECT_EQ(R.Jobs, 2u);
   for (const UnitReport &U : R.Units)
     EXPECT_TRUE(U.ok()) << U.Name << ": " << U.Error;
-}
-
-/// One block of \p Statements seeded statements over 24 variables, half of
-/// them copies, ending in a sum of every variable.
-std::string fatBlockSource(unsigned Statements, uint64_t Seed) {
-  static const char *Arith[] = {"add", "sub", "mul"};
-  const unsigned Vars = 24;
-  auto Var = [](uint64_t I) { return "%v" + std::to_string(I); };
-  SplitMix64 Rng(Seed);
-  std::string Text = "func @fat(%a) {\nentry:\n";
-  for (unsigned I = 0; I != Vars; ++I)
-    Text += "  " + Var(I) + " = add %a, " + std::to_string(I) + "\n";
-  for (unsigned I = 0; I != Statements; ++I) {
-    std::string Dst = Var(Rng.nextBelow(Vars));
-    std::string Src = Var(Rng.nextBelow(Vars));
-    if (Rng.chancePercent(50)) {
-      Text += "  " + Dst + " = copy " + Src + "\n";
-      continue;
-    }
-    const char *Op = Arith[Rng.nextBelow(3)];
-    Text += "  " + Dst + " = " + Op + " " + Src + ", " +
-            Var(Rng.nextBelow(Vars)) + "\n";
-  }
-  Text += "  %sum = add %v0, %v1\n";
-  for (unsigned I = 2; I != Vars; ++I)
-    Text += "  %sum = add %sum, " + Var(I) + "\n";
-  return Text + "  ret %sum\n}\n";
 }
 
 TEST(FatBlockTest, CompilesAHundredThousandStatementBlockInLinearTime) {

@@ -120,6 +120,21 @@ TEST(CompilationServiceTest, MalformedUnitIsIsolated) {
     EXPECT_TRUE(Report.Units[I].ok()) << I;
 }
 
+TEST(CompilationServiceTest, OutOfRangeLiteralIsAParseError) {
+  std::vector<WorkUnit> Units = {
+      WorkUnit::fromSource("huge", "func @huge() {\nentry:\n"
+                                   "  %x = const 99999999999999999999\n"
+                                   "  ret %x\n}\n"),
+      WorkUnit::fromSource("good", GoodSource)};
+
+  BatchReport Report = CompilationService(ServiceOptions()).run(Units);
+
+  ASSERT_EQ(Report.Units.size(), 2u);
+  EXPECT_EQ(Report.Units[0].Status, UnitStatus::ParseError);
+  EXPECT_EQ(Report.Units[0].Error, "line 3: integer literal out of range");
+  EXPECT_TRUE(Report.Units[1].ok()) << Report.Units[1].Error;
+}
+
 TEST(CompilationServiceTest, NonStrictUnitIsIsolatedOrRepaired) {
   const char *NonStrict = R"(
 func @maybe(%p) {

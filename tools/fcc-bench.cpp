@@ -49,7 +49,8 @@
 //
 // peak_bytes is the deterministic byte footprint of what one iteration
 // built; for the server/* rows it is the largest per-function PeakBytes of
-// the batch (cache hits report the published record's).
+// the batch (cache hits report the published record's), for ir/parse the
+// bytes of text read and for ir/print the bytes of text written.
 //
 // Exit status: 0 ok, 1 a quality row diverged or failed to allocate, or a
 // server/* batch had a failed unit, 2 usage/setup error.
@@ -65,6 +66,8 @@
 #include "interp/Interpreter.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
+#include "ir/IRParser.h"
+#include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "pipeline/Pipeline.h"
 #include "regalloc/SpillRewriter.h"
@@ -200,6 +203,35 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P) {
   AddPipeline("pipeline/new", PipelineKind::New);
   AddPipeline("pipeline/standard", PipelineKind::Standard);
   AddPipeline("pipeline/briggs_improved", PipelineKind::BriggsImproved);
+
+  // The textual front end over the same routines: ir/parse reads every
+  // routine's text (generated routines as printed) into a Module and frees
+  // it, ir/print writes every routine's Module back out.
+  {
+    auto Texts = std::make_shared<std::vector<std::string>>();
+    auto Modules = std::make_shared<std::vector<std::unique_ptr<Module>>>();
+    for (const RoutineSpec &Spec : paperSuite(P.PaperRoutines)) {
+      Texts->push_back(Spec.Source.empty() ? printModule(*Spec.materialize())
+                                           : Spec.Source);
+      Modules->push_back(Spec.materialize());
+    }
+    Benches.push_back({"ir/parse", Tag, [Texts]() -> size_t {
+                         size_t Bytes = 0;
+                         for (const std::string &Text : *Texts) {
+                           std::string Error;
+                           if (!parseModule(Text, Error))
+                             throw std::runtime_error(Error);
+                           Bytes += Text.size();
+                         }
+                         return Bytes;
+                       }});
+    Benches.push_back({"ir/print", Tag, [Modules]() -> size_t {
+                         size_t Bytes = 0;
+                         for (const auto &M : *Modules)
+                           Bytes += printModule(*M).size();
+                         return Bytes;
+                       }});
+  }
 
   // The retrofitted per-function analyses and structures, each over one
   // generated SSA function (guards Tables 1 and 3's structure costs).
