@@ -7,12 +7,20 @@
 /// direct (non-phi) use in b or below appear in live-in(b). Phi results are
 /// defined at the top of their block.
 ///
-/// Storage discipline: every block's live-in and live-out words live in one
-/// flat buffer sized once per function (2 * blocks * words-per-set), so the
-/// analysis performs a constant number of heap allocations regardless of CFG
-/// size. Accessors hand out non-owning IndexSetView spans into that buffer;
-/// callers that need a mutable scratch copy construct an IndexSet from the
-/// view.
+/// Two analyses share one dense fixed point:
+///
+///   - Liveness answers "is v live-in / live-out of b" over every name of a
+///     function, dense or (on SSA code) by the sparse per-variable walk of
+///     SparseLiveness.cpp;
+///   - UpwardExposedLiveness answers "is v live into b" over pre-SSA code,
+///     solving only the names that can be live anywhere.
+///
+/// Storage follows what is live. Block-major sets (one flat buffer of
+/// 2 * blocks * words-per-set words) serve the dense solver and every sparse
+/// solve that fits in DenseLayoutMaxBytes; above that the sparse solver
+/// stores each name's bits over the reverse-postorder span of the blocks
+/// where it is live, so memory grows with the live ranges, not with
+/// blocks * names. Either way a query is a bit test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,9 +37,9 @@ class BasicBlock;
 class Function;
 class Variable;
 
-/// Which algorithm populates the sets. Both write the same flat storage and
-/// produce bit-identical live sets; the choice is observable only in solve
-/// time.
+/// Which algorithm populates the sets. Both produce identical live sets;
+/// the choice is observable in solve time and, above the dense layout's
+/// cut-over, in bytes().
 enum class LivenessAlgorithm : unsigned char {
   /// Backward iterative data flow to a fixed point. Handles any input,
   /// including multi-definition non-SSA code (the Briggs webs and the
@@ -47,23 +55,54 @@ enum class LivenessAlgorithm : unsigned char {
 /// Block-boundary liveness sets over a function's variables.
 class Liveness {
 public:
+  /// The largest block-major footprint (both sets, every block) the sparse
+  /// solver writes; a larger function gets the span layout. DESIGN.md §11
+  /// gives the per-unit sizes this cut-over separates.
+  static constexpr size_t DenseLayoutMaxBytes = size_t(4) << 20;
+
   explicit Liveness(const Function &F,
                     LivenessAlgorithm Algo = LivenessAlgorithm::Dense);
-
-  IndexSetView liveIn(const BasicBlock *B) const;
-  IndexSetView liveOut(const BasicBlock *B) const;
 
   bool isLiveIn(const BasicBlock *B, const Variable *V) const;
   bool isLiveOut(const BasicBlock *B, const Variable *V) const;
 
-  /// Bytes held by the live sets (for the memory experiments). Committed
-  /// size, not capacity: the buffer is sized exactly once, and capacity
-  /// would overstate the footprint on libraries that round allocations up.
-  size_t bytes() const { return Words.size() * sizeof(uint64_t); }
+  /// Owning copies of \p B's sets over the variables that existed at
+  /// construction. On the span layout each costs one query per variable.
+  IndexSet liveIn(const BasicBlock *B) const;
+  IndexSet liveOut(const BasicBlock *B) const;
+
+  /// True when the sets are stored per name over reverse-postorder spans.
+  bool hasSpanLayout() const { return !RpoNumber.empty(); }
+
+  /// Bytes held by the live sets (for the memory experiments): the words,
+  /// plus the span headers and the block numbering on the span layout.
+  /// Committed size, not capacity: the buffers are sized exactly, and
+  /// capacity would overstate the footprint on libraries that round
+  /// allocations up.
+  size_t bytes() const {
+    return Words.size() * sizeof(uint64_t) + Spans.size() * sizeof(Span) +
+           RpoNumber.size() * sizeof(uint32_t);
+  }
 
 private:
+  /// One name's sets on the span layout: for the blocks numbered
+  /// [First, First + Length) in reverse postorder, word k of its live-in
+  /// bits sits at Words[Offset + 2k] and of its live-out bits right after.
+  /// Length 0 means live nowhere.
+  struct Span {
+    uint32_t First = 0;
+    uint32_t Length = 0;
+    uint64_t Offset = 0;
+  };
+
   void solveDense(const Function &F);
-  void solveSparse(const Function &F); // Defined in SparseLiveness.cpp.
+  // Defined in SparseLiveness.cpp.
+  void solveSparse(const Function &F);
+  void solveSpans(const Function &F, const std::vector<unsigned> &DefBlock);
+
+  /// Side 0 asks live-in, side 1 live-out.
+  bool test(unsigned BlockId, unsigned VarId, unsigned Side) const;
+  IndexSet collect(unsigned BlockId, unsigned Side) const;
 
   uint64_t *inWords(unsigned BlockId) {
     return Words.data() + size_t(BlockId) * WordsPerSet;
@@ -79,7 +118,63 @@ private:
   }
 
   unsigned NumBlocks = 0;
+  unsigned NumVars = 0;
   size_t WordsPerSet = 0;
+  /// Block-major layout: live-in sets for all blocks, then live-out sets
+  /// for all blocks. Span layout: every name's span words, back to back.
+  std::vector<uint64_t> Words;
+  /// Span layout only: per variable id, and per block id its number in
+  /// reverse postorder.
+  std::vector<Span> Spans;
+  std::vector<uint32_t> RpoNumber;
+};
+
+/// Live-in sets of pre-SSA code — names defined any number of times —
+/// over only the names that can be live somewhere: those with an
+/// upward-exposed use in some block or a phi operand. Any other name is
+/// live into no block, so the dense fixed point over this compact universe
+/// answers "is v live into b" exactly. A function of at most 64 names
+/// keeps them all: its sets are one word either way. It serves the
+/// strictness check (the live-in set of the entry) and pruned phi
+/// placement.
+class UpwardExposedLiveness {
+public:
+  explicit UpwardExposedLiveness(const Function &F);
+
+  /// The names the sets cover, numbered by slot in increasing id order.
+  unsigned numSlots() const { return NumSlots; }
+  unsigned nameOf(unsigned Slot) const {
+    return Names.empty() ? Slot : Names[Slot];
+  }
+
+  /// True when the name in \p Slot is live into \p B.
+  bool isLiveIn(const BasicBlock *B, unsigned Slot) const {
+    assert(Slot < NumSlots && "not a solved name");
+    return (liveIn(B)[Slot / 64] >> (Slot % 64)) & 1;
+  }
+
+  /// Invokes \p Fn with the id of every variable live into \p B, in
+  /// increasing id order.
+  template <typename CallableT>
+  void forEachLiveIn(const BasicBlock *B, CallableT Fn) const {
+    const uint64_t *In = liveIn(B);
+    for (size_t W = 0; W != WordsPerSet; ++W)
+      for (uint64_t Bits = In[W]; Bits; Bits &= Bits - 1)
+        Fn(nameOf(W * 64 + static_cast<unsigned>(__builtin_ctzll(Bits))));
+  }
+
+  /// The sets plus the index map (none when slots are ids).
+  size_t bytes() const {
+    return Words.size() * sizeof(uint64_t) + Names.size() * sizeof(unsigned);
+  }
+
+private:
+  const uint64_t *liveIn(const BasicBlock *B) const;
+
+  unsigned NumSlots = 0;
+  size_t WordsPerSet = 0;
+  /// Per slot, the name's id; empty when slots are ids.
+  std::vector<unsigned> Names;
   /// Live-in sets for all blocks, then live-out sets for all blocks.
   std::vector<uint64_t> Words;
 };

@@ -245,17 +245,11 @@ bool crossValidateAnalyses(Function &F, std::string &Detail) {
   Liveness Dense(F, LivenessAlgorithm::Dense);
   Liveness Sparse(F, LivenessAlgorithm::Sparse);
   for (const auto &B : F.blocks()) {
-    auto Differs = [](IndexSetView A, IndexSetView B2) {
-      for (size_t W = 0; W != A.numWords(); ++W)
-        if (A.words()[W] != B2.words()[W])
-          return true;
-      return false;
-    };
-    if (Differs(Dense.liveIn(B.get()), Sparse.liveIn(B.get()))) {
+    if (Dense.liveIn(B.get()) != Sparse.liveIn(B.get())) {
       Detail = "live-in(" + B->name() + "): dense != sparse";
       return false;
     }
-    if (Differs(Dense.liveOut(B.get()), Sparse.liveOut(B.get()))) {
+    if (Dense.liveOut(B.get()) != Sparse.liveOut(B.get())) {
       Detail = "live-out(" + B->name() + "): dense != sparse";
       return false;
     }

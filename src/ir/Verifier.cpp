@@ -138,10 +138,11 @@ bool fcc::verifyFunction(const Function &F, std::string &Error) {
 
 std::vector<const Variable *> fcc::findNonStrictVariables(const Function &F) {
   // A use no definition covers on some path from the entry is live into the
-  // entry, and only such a use is; parameters are defined there. The dense
-  // solver, because input code may define a name many times.
+  // entry, and only such a use is; parameters are defined there. A dense
+  // solve, because input code may define a name many times, over only the
+  // upward-exposed names, because no other name is live anywhere.
   std::vector<const Variable *> Result;
-  Liveness(F).liveIn(F.entry()).forEach([&](unsigned Id) {
+  UpwardExposedLiveness(F).forEachLiveIn(F.entry(), [&](unsigned Id) {
     if (!F.isParam(F.variable(Id)))
       Result.push_back(F.variable(Id));
   });

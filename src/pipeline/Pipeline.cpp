@@ -158,15 +158,16 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
     }
     if (Opts.CheckPartition) {
       // The audit is diagnostics, not conversion work: keep its cost out of
-      // the paper-comparable timing and out of the phase samples.
+      // the paper-comparable timing and out of the phase samples. It walks
+      // whole live-out sets, so it solves its own block-major ones.
       Timer CheckClock;
       std::string Error;
       bool Valid;
       {
         PhaseScope P(Instr, "partition-check", "audit");
         Valid = checkCoalescing(
-            F, *LV, [&](const Variable *V) { return Coalescer->rep(V); },
-            Error);
+            F, Liveness(F, LivenessAlgorithm::Dense),
+            [&](const Variable *V) { return Coalescer->rep(V); }, Error);
       }
       if (!Valid)
         throw PartitionRefuted(Error);

@@ -10,6 +10,7 @@
 #include "ir/Variable.h"
 #include "support/IndexSet.h"
 
+#include <optional>
 #include <vector>
 
 using namespace fcc;
@@ -169,20 +170,21 @@ SSABuildStats fcc::buildSSA(Function &F, const DominatorTree &DT,
   size_t SideBytes = DF.bytes();
 
   // Per-variable definition blocks; parameters are defined at the entry.
+  // A name whose last definition block is the current one is defined above
+  // the current instruction.
   std::vector<std::vector<BasicBlock *>> DefBlocks(NumOriginals);
   IndexSet Globals(NumOriginals); // Upward-exposed names, for SemiPruned.
   for (const auto &B : F.blocks()) {
-    IndexSet Defined(NumOriginals);
     for (const auto &I : B->insts()) {
       I->forEachUsedVar([&](Variable *V) {
-        if (!Defined.test(V->id()))
+        const auto &DB = DefBlocks[V->id()];
+        if (DB.empty() || DB.back() != B.get())
           Globals.insert(V->id()); // Upward exposed somewhere.
       });
       if (Variable *Def = I->getDef()) {
-        if (DefBlocks[Def->id()].empty() ||
-            DefBlocks[Def->id()].back() != B.get())
-          DefBlocks[Def->id()].push_back(B.get());
-        Defined.insert(Def->id());
+        auto &DB = DefBlocks[Def->id()];
+        if (DB.empty() || DB.back() != B.get())
+          DB.push_back(B.get());
       }
     }
   }
@@ -192,26 +194,24 @@ SSABuildStats fcc::buildSSA(Function &F, const DominatorTree &DT,
       DB.insert(DB.begin(), F.entry());
   }
 
-  // Liveness is needed only for the pruned flavor.
-  std::unique_ptr<Liveness> Live;
+  // Liveness is needed only for the pruned flavor, and only over the names
+  // that can be live into some block.
+  std::optional<UpwardExposedLiveness> Live;
   if (Opts.Flavor == SSAFlavor::Pruned) {
-    Live = std::make_unique<Liveness>(F);
+    Live.emplace(F);
     SideBytes += Live->bytes();
   }
 
-  // Iterated dominance frontier phi placement (worklist per variable). The
-  // has-phi marker uses generation stamps so no per-variable set is
-  // allocated or cleared.
+  // Iterated dominance frontier phi placement (worklist per variable),
+  // at the frontier blocks where \p LiveAt holds. The has-phi marker uses
+  // generation stamps so no per-variable set is allocated or cleared.
   std::vector<unsigned> PhiStamp(NumBlocks, 0);
   unsigned Generation = 0;
   SideBytes += PhiStamp.capacity() * sizeof(unsigned);
   std::vector<BasicBlock *> Work;
-  for (unsigned VarId = 0; VarId != NumOriginals; ++VarId) {
+  auto Place = [&](unsigned VarId, auto LiveAt) {
     if (DefBlocks[VarId].empty())
-      continue; // Used but never defined: dead by strictness.
-    if (Opts.Flavor == SSAFlavor::SemiPruned && !Globals.test(VarId))
-      continue; // Name never crosses a block boundary.
-
+      return; // Used but never defined: dead by strictness.
     Variable *V = F.variable(VarId);
     ++Generation;
     Work = DefBlocks[VarId];
@@ -219,10 +219,8 @@ SSABuildStats fcc::buildSSA(Function &F, const DominatorTree &DT,
       BasicBlock *B = Work.back();
       Work.pop_back();
       for (BasicBlock *Frontier : DF.frontier(B)) {
-        if (PhiStamp[Frontier->id()] == Generation)
+        if (PhiStamp[Frontier->id()] == Generation || !LiveAt(Frontier))
           continue;
-        if (Opts.Flavor == SSAFlavor::Pruned && !Live->isLiveIn(Frontier, V))
-          continue; // Pruned: dead at this join.
         PhiStamp[Frontier->id()] = Generation;
         std::vector<Operand> Ops(Frontier->getNumPreds(), Operand::var(V));
         Frontier->addPhi(
@@ -231,6 +229,18 @@ SSABuildStats fcc::buildSSA(Function &F, const DominatorTree &DT,
         Work.push_back(Frontier);
       }
     }
+  };
+  if (Live) {
+    // Pruned: a name live into no block needs no phi, and a live one only
+    // at the joins it is live into.
+    for (unsigned Slot = 0; Slot != Live->numSlots(); ++Slot)
+      Place(Live->nameOf(Slot),
+            [&](const BasicBlock *B) { return Live->isLiveIn(B, Slot); });
+  } else {
+    // SemiPruned skips the names that never cross a block boundary.
+    for (unsigned VarId = 0; VarId != NumOriginals; ++VarId)
+      if (Opts.Flavor != SSAFlavor::SemiPruned || Globals.test(VarId))
+        Place(VarId, [](const BasicBlock *) { return true; });
   }
 
   // Rename, then erase the folded copies: theirs are the only defs still

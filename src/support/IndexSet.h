@@ -2,8 +2,7 @@
 ///
 /// \file
 /// A dense bitset keyed by small unsigned ids (variable or block numbers).
-/// Liveness analysis stores one IndexSet per block; the unions it performs
-/// dominate the data-flow solver, so the set operations are word-parallel.
+/// The set operations are word-parallel.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,71 +16,16 @@
 
 namespace fcc {
 
-/// Non-owning view of a word-packed id set. Liveness stores every block's
-/// live-in/live-out set in one flat buffer and hands out views, so building
-/// the analysis costs a constant number of allocations instead of two per
-/// block; an IndexSet can be constructed from a view when a caller needs a
-/// mutable scratch copy.
-class IndexSetView {
-public:
-  IndexSetView() = default;
-  IndexSetView(const uint64_t *Words, size_t NumWords)
-      : Data(Words), NumWords(NumWords) {}
-
-  unsigned universe() const { return static_cast<unsigned>(NumWords) * 64; }
-  const uint64_t *words() const { return Data; }
-  size_t numWords() const { return NumWords; }
-
-  bool test(unsigned Id) const {
-    if (Id / 64 >= NumWords)
-      return false;
-    return (Data[Id / 64] >> (Id % 64)) & 1;
-  }
-
-  bool empty() const {
-    for (size_t I = 0; I != NumWords; ++I)
-      if (Data[I])
-        return false;
-    return true;
-  }
-
-  size_t count() const {
-    size_t Total = 0;
-    for (size_t I = 0; I != NumWords; ++I)
-      Total += static_cast<size_t>(__builtin_popcountll(Data[I]));
-    return Total;
-  }
-
-  /// Invokes \p Fn on every member in increasing order.
-  template <typename CallableT> void forEach(CallableT Fn) const {
-    for (size_t I = 0; I != NumWords; ++I) {
-      uint64_t W = Data[I];
-      while (W) {
-        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
-        Fn(static_cast<unsigned>(I * 64 + Bit));
-        W &= W - 1;
-      }
-    }
-  }
-
-private:
-  const uint64_t *Data = nullptr;
-  size_t NumWords = 0;
-};
-
 /// Word-packed set of unsigned ids in [0, universe size).
 class IndexSet {
 public:
   IndexSet() = default;
   explicit IndexSet(unsigned Universe) : Words((Universe + 63) / 64, 0) {}
 
-  /// Materializes an owning copy of \p View (for callers that mutate a
-  /// scratch set seeded from a flat-storage analysis).
-  explicit IndexSet(IndexSetView View)
-      : Words(View.words(), View.words() + View.numWords()) {}
-
-  /// Non-owning view of this set's words.
-  IndexSetView view() const { return IndexSetView(Words.data(), Words.size()); }
+  /// An owning copy of \p NumWords word-packed words (how Liveness copies
+  /// a set out of its flat storage).
+  IndexSet(const uint64_t *Data, size_t NumWords)
+      : Words(Data, Data + NumWords) {}
 
   /// Re-sizes the universe, preserving current members that still fit.
   void resizeUniverse(unsigned Universe) {
@@ -126,14 +70,11 @@ public:
   }
 
   /// Adds every member of \p Other; returns true when this set grew.
-  bool unionWith(const IndexSet &Other) { return unionWith(Other.view()); }
-
-  bool unionWith(IndexSetView Other) {
-    assert(Other.numWords() <= Words.size() && "universe mismatch");
+  bool unionWith(const IndexSet &Other) {
+    assert(Other.Words.size() <= Words.size() && "universe mismatch");
     bool Changed = false;
-    const uint64_t *Src = Other.words();
-    for (size_t I = 0, E = Other.numWords(); I != E; ++I) {
-      uint64_t New = Words[I] | Src[I];
+    for (size_t I = 0, E = Other.Words.size(); I != E; ++I) {
+      uint64_t New = Words[I] | Other.Words[I];
       Changed |= New != Words[I];
       Words[I] = New;
     }

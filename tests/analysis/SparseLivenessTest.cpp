@@ -1,16 +1,17 @@
 //===- tests/analysis/SparseLivenessTest.cpp ------------------------------===//
 //
 // The sparse per-variable liveness solver against the dense fixed point:
-// over strict SSA input both must fill bit-identical live-in/live-out sets
-// — on the canonical fixtures, every kernel, and a generator sweep. The
+// over strict SSA input both must fill identical live-in/live-out sets —
+// on the canonical fixtures, every kernel, and a generator sweep. The
 // solver's checked SSA preconditions (multi-definition, use above the
 // definition, use of a never-defined name) must be hard errors, because a
-// silent violation would just produce too-small live sets. bytes() must
-// report the committed flat-buffer size under either algorithm.
+// silent violation would just produce too-small live sets. Below the
+// dense layout's cut-over bytes() must report the committed flat-buffer
+// size under either algorithm; above it, the span layout's own size.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/SparseLiveness.h"
+#include "analysis/Liveness.h"
 
 #include "../common/TestPrograms.h"
 #include "analysis/CFGUtils.h"
@@ -35,19 +36,14 @@ namespace {
 void expectIdenticalSets(const Function &F, const std::string &Context) {
   Liveness Dense(F, LivenessAlgorithm::Dense);
   Liveness Sparse(F, LivenessAlgorithm::Sparse);
+  // Small functions stay on the block-major layout, where the footprints
+  // agree.
+  ASSERT_FALSE(Sparse.hasSpanLayout()) << Context;
   ASSERT_EQ(Dense.bytes(), Sparse.bytes()) << Context;
-  auto SameWords = [](IndexSetView A, IndexSetView B) {
-    if (A.numWords() != B.numWords())
-      return false;
-    for (size_t W = 0; W != A.numWords(); ++W)
-      if (A.words()[W] != B.words()[W])
-        return false;
-    return true;
-  };
   for (const auto &B : F.blocks()) {
-    EXPECT_TRUE(SameWords(Dense.liveIn(B.get()), Sparse.liveIn(B.get())))
+    EXPECT_EQ(Dense.liveIn(B.get()), Sparse.liveIn(B.get()))
         << Context << ": live-in(" << B->name() << ")";
-    EXPECT_TRUE(SameWords(Dense.liveOut(B.get()), Sparse.liveOut(B.get())))
+    EXPECT_EQ(Dense.liveOut(B.get()), Sparse.liveOut(B.get()))
         << Context << ": live-out(" << B->name() << ")";
   }
 }
@@ -106,7 +102,7 @@ TEST(SparseLivenessTest, ParamsAreLiveIntoEntry) {
   auto M = parseSingleFunctionOrDie(testprogs::StraightLine);
   Function &F = *M->functions()[0];
   toSSA(F);
-  SparseLiveness LV(F);
+  Liveness LV(F, LivenessAlgorithm::Sparse);
   const Variable *A = nullptr;
   for (const Variable *P : F.params())
     if (P->name() == "a")
@@ -115,25 +111,11 @@ TEST(SparseLivenessTest, ParamsAreLiveIntoEntry) {
   EXPECT_TRUE(LV.isLiveIn(F.entry(), A));
 }
 
-TEST(SparseLivenessTest, SparseLivenessWrapperIsTheSparseAlgorithm) {
-  auto M = parseSingleFunctionOrDie(testprogs::SumLoop);
-  Function &F = *M->functions()[0];
-  toSSA(F);
-  SparseLiveness Sparse(F);
-  Liveness Dense(F, LivenessAlgorithm::Dense);
-  for (const auto &B : F.blocks()) {
-    IndexSetView SIn = Sparse.liveIn(B.get()), DIn = Dense.liveIn(B.get());
-    ASSERT_EQ(SIn.numWords(), DIn.numWords());
-    for (size_t W = 0; W != SIn.numWords(); ++W)
-      EXPECT_EQ(SIn.words()[W], DIn.words()[W]) << B->name();
-  }
-}
-
 TEST(SparseLivenessTest, BytesReportsCommittedSize) {
   // Regression for the capacity-vs-size bug: bytes() must be exactly the
   // committed flat buffer — two sets per block, one word per 64 variables
-  // — and identical across algorithms (PeakBytes comparability depends on
-  // it).
+  // — and, below the dense layout's cut-over, identical across algorithms
+  // (PeakBytes comparability depends on it).
   auto M = parseSingleFunctionOrDie(testprogs::NestedLoops);
   Function &F = *M->functions()[0];
   toSSA(F);

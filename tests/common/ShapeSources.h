@@ -1,8 +1,9 @@
 //===- tests/common/ShapeSources.h - Textual IR at scale --------*- C++ -*-===//
 ///
 /// \file
-/// Textual-IR generators for shape tests (deep block chains, fat blocks)
-/// and the corpus the parser's round-trip and mutation tests share.
+/// Textual-IR generators for shape tests (deep block chains, diamond
+/// chains, fat blocks) and the corpus the parser's round-trip and mutation
+/// tests share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,6 +59,51 @@ inline std::string fatBlockSource(unsigned Statements, uint64_t Seed) {
   for (unsigned I = 2; I != Vars; ++I)
     Text += "  %sum = add %sum, " + Var(I) + "\n";
   return Text + "  ret %sum\n}\n";
+}
+
+/// A chain of about \p Blocks blocks over 24 variables and three
+/// parameters: each link defines one variable from two others and copies it
+/// into a third, and every eighth link is a diamond whose arms redefine one
+/// variable, branching on a fresh temporary. Names grow with the blocks
+/// (one temporary per diamond), so anything that stores blocks x names
+/// grows quadratically here.
+inline std::string diamondChainSource(unsigned Blocks, uint64_t Seed = 1) {
+  static const char *Arith[] = {"add", "sub", "mul"};
+  const unsigned Vars = 24;
+  auto Var = [](uint64_t I) { return "%v" + std::to_string(I); };
+  auto Link = [](unsigned I) { return "c" + std::to_string(I); };
+  SplitMix64 Rng(Seed);
+  std::string Text = "func @dchain(%p0, %p1, %p2) {\nentry:\n";
+  for (unsigned I = 0; I != Vars; ++I)
+    Text += "  " + Var(I) + " = add %p" + std::to_string(I % 3) + ", " +
+            std::to_string(I) + "\n";
+  Text += "  br " + Link(0) + "\n";
+  unsigned Links = 0;
+  for (unsigned Made = 0; Made < Blocks; ++Links) {
+    std::string L = Link(Links), Next = Link(Links + 1);
+    std::string A = Var(Rng.nextBelow(Vars)), B = Var(Rng.nextBelow(Vars));
+    std::string D = Var(Rng.nextBelow(Vars));
+    Text += L + ":\n";
+    if (Links % 8 == 7) {
+      std::string T = "%t" + std::to_string(Links);
+      Text += "  " + T + " = cmplt " + A + ", " + B + "\n";
+      Text += "  cbr " + T + ", " + L + "l, " + L + "r\n";
+      Text += L + "l:\n  " + D + " = add " + A + ", 1\n  br " + Next + "\n";
+      Text += L + "r:\n  " + D + " = sub " + B + ", 1\n  br " + Next + "\n";
+      Made += 3;
+      continue;
+    }
+    Text += "  " + D + " = " + Arith[Rng.nextBelow(3)] + " " + A + ", " + B +
+            "\n";
+    Text += "  " + Var(Rng.nextBelow(Vars)) + " = copy " + D + "\n";
+    Text += "  br " + Next + "\n";
+    ++Made;
+  }
+  Text += Link(Links) + ":\n  %sum0 = add " + Var(0) + ", " + Var(1) + "\n";
+  for (unsigned I = 2; I != Vars; ++I)
+    Text += "  %sum" + std::to_string(I - 1) + " = add %sum" +
+            std::to_string(I - 2) + ", " + Var(I) + "\n";
+  return Text + "  ret %sum" + std::to_string(Vars - 2) + "\n}\n";
 }
 
 /// The parser's property corpus: 300 printed generator programs (the

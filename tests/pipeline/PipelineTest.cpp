@@ -2,6 +2,7 @@
 
 #include "pipeline/Pipeline.h"
 
+#include "../common/ShapeSources.h"
 #include "../common/TestPrograms.h"
 #include "../common/TestUtils.h"
 #include "ir/Function.h"
@@ -194,7 +195,9 @@ TEST(PipelineTest, OutputIsByteIdenticalAcrossAnalysisStrategies) {
   // every pipeline kind, every analysis strategy must produce the same
   // rewritten code and the same report fields, byte for byte (timing
   // aside). The oracle re-checks this continuously on fuzz campaigns; this
-  // is the deterministic fixture version.
+  // is the deterministic fixture version. PeakBytes agrees too because
+  // these functions stay below Liveness::DenseLayoutMaxBytes, where the
+  // sparse solver keeps the dense solver's block-major sets.
   const AnalysisStrategy Strategies[] = {
       {DomAlgorithm::DSU, LivenessAlgorithm::Sparse},
       {DomAlgorithm::DSU, LivenessAlgorithm::Dense},
@@ -229,6 +232,35 @@ TEST(PipelineTest, OutputIsByteIdenticalAcrossAnalysisStrategies) {
         EXPECT_EQ(R.CriticalEdgesSplit, RefR.CriticalEdgesSplit);
       }
     }
+  }
+}
+
+TEST(PipelineTest, AboveTheCutOverOnlyNewPeakBytesDependsOnTheStrategy) {
+  // Above the cut-over the sparse solver stores spans, so New's PeakBytes
+  // is its own: below the dense solver's by the difference of the two
+  // liveness footprints, and no different for the other pipelines.
+  const std::string Text = testprogs::diamondChainSource(6000);
+  for (PipelineKind Kind : AllKinds) {
+    auto Run = [&](LivenessAlgorithm Algo, std::string &Printed) {
+      auto M = parseSingleFunctionOrDie(Text);
+      Function &F = *M->functions()[0];
+      PipelineOptions Opts;
+      Opts.Kind = Kind;
+      Opts.Analyses.Liveness = Algo;
+      PipelineResult R = runPipeline(F, Opts);
+      Printed = printFunction(F);
+      return R;
+    };
+    std::string SparseText, DenseText;
+    PipelineResult Sparse = Run(LivenessAlgorithm::Sparse, SparseText);
+    PipelineResult Dense = Run(LivenessAlgorithm::Dense, DenseText);
+    EXPECT_EQ(SparseText, DenseText) << pipelineName(Kind);
+    EXPECT_EQ(Sparse.StaticCopies, Dense.StaticCopies) << pipelineName(Kind);
+    EXPECT_EQ(Sparse.PhisInserted, Dense.PhisInserted) << pipelineName(Kind);
+    if (Kind == PipelineKind::New)
+      EXPECT_LT(Sparse.PeakBytes * 10, Dense.PeakBytes);
+    else
+      EXPECT_EQ(Sparse.PeakBytes, Dense.PeakBytes) << pipelineName(Kind);
   }
 }
 

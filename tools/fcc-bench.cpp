@@ -252,6 +252,21 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P) {
                        return LV.bytes();
                      }});
 
+  // The sparse solve above the dense layout's cut-over, where each name's
+  // bits cover only the reverse-postorder span it is live in. One size for
+  // every suite: the suites' own generator programs stay below the cut-over.
+  {
+    auto Large = std::make_shared<SSAFixture>(2000, /*Seed=*/77);
+    if (!Liveness(*Large->F, LivenessAlgorithm::Sparse).hasSpanLayout())
+      throw std::logic_error("liveness/sparse_solve_large: fixture below "
+                             "the dense layout's cut-over");
+    Benches.push_back({"liveness/sparse_solve_large", "gen2000",
+                       [Large]() -> size_t {
+                         Liveness LV(*Large->F, LivenessAlgorithm::Sparse);
+                         return LV.bytes();
+                       }});
+  }
+
   Benches.push_back({"domtree/build", Tag, [Fix]() -> size_t {
                        DominatorTree DT(*Fix->F);
                        return DT.bytes();
