@@ -21,9 +21,7 @@ unsigned fcc::splitCriticalEdges(Function &F) {
 
   for (auto [From, To] : Critical) {
     BasicBlock *Mid = F.makeBlock(From->name() + "." + To->name() + ".crit");
-    Mid->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                              std::vector<Operand>{},
-                                              std::vector<BasicBlock *>{To}));
+    Mid->append(F.makeInstruction(Opcode::Br, nullptr, {}, {To}));
     // Retarget the branch and splice the predecessor lists. Phi operand
     // slots in To are positional, so rewriting the pred entry in place keeps
     // them aligned.

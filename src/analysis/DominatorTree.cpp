@@ -32,7 +32,7 @@ struct ForwardCFG {
   unsigned size() const { return F.numBlocks(); }
   BasicBlock *root() const { return F.entry(); }
   unsigned index(const BasicBlock *B) const { return B->id(); }
-  const std::vector<BasicBlock *> &succs(const BasicBlock *B) const {
+  std::span<BasicBlock *const> succs(const BasicBlock *B) const {
     return B->succs();
   }
   template <typename Fn> void forEachPred(const BasicBlock *B, Fn Visit) const {
@@ -53,7 +53,7 @@ struct ReverseCFG {
   unsigned index(const BasicBlock *B) const {
     return B ? B->id() : F.numBlocks();
   }
-  const std::vector<BasicBlock *> &succs(const BasicBlock *B) const {
+  std::span<BasicBlock *const> succs(const BasicBlock *B) const {
     return B ? B->preds() : Returns;
   }
   template <typename Fn> void forEachPred(const BasicBlock *B, Fn Visit) const {

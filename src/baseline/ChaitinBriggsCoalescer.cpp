@@ -53,7 +53,7 @@ unsigned fcc::identifyLiveRangeWebs(Function &F) {
       if (Variable *Def = I->getDef())
         I->setDef(RepOf(Def));
     }
-    B->takePhis();
+    B->erasePhisIf([](const Instruction &) { return true; });
   }
   return NumWebs;
 }
@@ -86,7 +86,7 @@ BriggsStats fcc::coalesceCopiesBriggs(Function &F,
     for (const auto &B : F.blocks())
       for (const auto &I : B->insts())
         if (I->isCopy() && I->getDef() != I->getOperand(0).getVar())
-          Copies.push_back({I.get(), LI.loopDepth(B.get())});
+          Copies.push_back({I, LI.loopDepth(B.get())});
     if (Copies.empty())
       break;
     std::stable_sort(Copies.begin(), Copies.end(),
@@ -131,7 +131,7 @@ BriggsStats fcc::coalesceCopiesBriggs(Function &F,
     UnionFind Merged(F.numVariables());
     std::vector<Variable *> Rep(F.numVariables(), nullptr);
     for (const auto &V : F.variables())
-      Rep[V->id()] = V.get();
+      Rep[V->id()] = V;
     auto RepOf = [&](Variable *V) { return Rep[Merged.find(V->id())]; };
 
     unsigned CoalescedThisPass = 0;

@@ -20,7 +20,7 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV,
   } else {
     Universe.reserve(F.numVariables());
     for (const auto &V : F.variables())
-      Universe.push_back(V.get());
+      Universe.push_back(V);
   }
   for (unsigned I = 0; I != Universe.size(); ++I) {
     assert(VarToNode[Universe[I]->id()] < 0 && "duplicate node");

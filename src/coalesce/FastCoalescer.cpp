@@ -342,7 +342,7 @@ void FastCoalescer::buildInitialSets() {
           RejectedBy = 3; // a is a phi result whose block p enters live.
         else if (const Instruction *const *Claimant =
                      ClaimedBy.lookup(Sets.find(A->id()));
-                 Claimant && *Claimant != Phi.get())
+                 Claimant && *Claimant != Phi)
           RejectedBy = 4; // Another phi of this block claimed a's set.
         else if (std::find(SeenDefBlocks.begin(), SeenDefBlocks.end(),
                            ADef) != SeenDefBlocks.end())
@@ -396,7 +396,7 @@ void FastCoalescer::buildInitialSets() {
         }
         SeenDefBlocks.push_back(ADef);
       }
-      ClaimedBy[Sets.find(P->id())] = Phi.get();
+      ClaimedBy[Sets.find(P->id())] = Phi;
     }
   }
 }
@@ -651,11 +651,11 @@ FastCoalesceStats FastCoalescer::rewrite() {
     Stats.CopiesInserted += static_cast<unsigned>(Seq.Insts.size());
     Stats.TempsUsed += Seq.TempsUsed;
     BasicBlock *Pred = F.block(Id);
-    for (auto &I : Seq.Insts)
-      Pred->insertBeforeTerminator(std::move(I));
+    for (Instruction *I : Seq.Insts)
+      Pred->insertBeforeTerminator(I);
   }
   for (const auto &B : F.blocks())
-    B->takePhis();
+    B->erasePhisIf([](const Instruction &) { return true; });
 
   if (Opts.Instr && Opts.Instr->Stats) {
     StatsRegistry &R = *Opts.Instr->Stats;

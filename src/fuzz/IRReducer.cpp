@@ -130,9 +130,7 @@ bool sweepBranches(Reduction &R) {
     }
     BasicBlock *Target = B.terminator()->getSuccessor(Side);
     B.eraseInst(B.terminator());
-    B.append(std::make_unique<Instruction>(
-        Opcode::Br, nullptr, std::vector<Operand>{},
-        std::vector<BasicBlock *>{Target}));
+    B.append(F.makeInstruction(Opcode::Br, nullptr, {}, {Target}));
     auto Keep = keepEverything(*M);
     Keep[FI] = reachableBlocks(F);
     if (R.tryCandidate(printModuleKeeping(*M, Keep))) {
@@ -168,7 +166,7 @@ bool sweepDeletions(Reduction &R) {
       ++BI;
       continue;
     }
-    Instruction *I = B.insts()[II].get();
+    Instruction *I = B.insts()[II];
     if (I->isTerminator()) {
       ++II;
       continue;
@@ -205,7 +203,7 @@ bool sweepImmediates(Reduction &R) {
       ++BI;
       continue;
     }
-    Instruction *I = B.insts()[II].get();
+    Instruction *I = B.insts()[II];
     if (OI >= I->getNumOperands()) {
       OI = 0;
       ++II;

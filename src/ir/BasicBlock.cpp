@@ -6,67 +6,67 @@
 
 using namespace fcc;
 
-Instruction *BasicBlock::append(std::unique_ptr<Instruction> I) {
+Instruction *BasicBlock::append(Instruction *I) {
   assert(!hasTerminator() && "appending past the terminator");
   assert(!I->isPhi() && "phis go through addPhi()");
   I->Parent = this;
-  Insts.push_back(std::move(I));
-  return Insts.back().get();
+  pushSmall(Insts, I);
+  return I;
 }
 
-Instruction *BasicBlock::addPhi(std::unique_ptr<Instruction> I) {
+Instruction *BasicBlock::addPhi(Instruction *I) {
   assert(I->isPhi() && "addPhi() requires a phi");
   I->Parent = this;
-  Phis.push_back(std::move(I));
-  return Phis.back().get();
+  pushSmall(Phis, I);
+  return I;
 }
 
-Instruction *BasicBlock::insertBeforeTerminator(std::unique_ptr<Instruction> I) {
+Instruction *BasicBlock::insertBeforeTerminator(Instruction *I) {
   assert(hasTerminator() && "no terminator to insert before");
   assert(!I->isTerminator() && !I->isPhi() && "bad insertion");
   I->Parent = this;
-  Insts.insert(Insts.end() - 1, std::move(I));
-  return (Insts.end() - 2)->get();
+  Insts.insert(Insts.end() - 1, I);
+  return I;
 }
 
-Instruction *BasicBlock::insertAt(unsigned Index,
-                                  std::unique_ptr<Instruction> I) {
+Instruction *BasicBlock::insertAt(unsigned Index, Instruction *I) {
   assert(Index <= Insts.size() && "insertion index out of range");
   assert(!I->isTerminator() && !I->isPhi() && "bad insertion");
   I->Parent = this;
-  auto It = Insts.insert(Insts.begin() + Index, std::move(I));
-  return It->get();
+  Insts.insert(Insts.begin() + Index, I);
+  return I;
 }
 
 void BasicBlock::adopt(InstList &To, InstList &From) {
-  for (std::unique_ptr<Instruction> &I : From) {
+  for (Instruction *I : From) {
     assert(!I->isTerminator() && !I->isPhi() && "bad insertion");
     I->Parent = this;
-    To.push_back(std::move(I));
+    To.push_back(I);
   }
   From.clear();
 }
 
 void BasicBlock::eraseInst(Instruction *I) {
-  auto It = std::find_if(Insts.begin(), Insts.end(),
-                         [&](const auto &P) { return P.get() == I; });
+  auto It = std::find(Insts.begin(), Insts.end(), I);
   assert(It != Insts.end() && "instruction not in this block");
   Insts.erase(It);
+  I->poisonErased();
 }
 
-std::unique_ptr<Instruction> BasicBlock::takeInst(Instruction *I) {
+Instruction *BasicBlock::takeInst(Instruction *I) {
   assert(!I->isTerminator() && "terminators cannot be detached");
-  auto It = std::find_if(Insts.begin(), Insts.end(),
-                         [&](const auto &P) { return P.get() == I; });
+  auto It = std::find(Insts.begin(), Insts.end(), I);
   assert(It != Insts.end() && "instruction not in this block");
-  std::unique_ptr<Instruction> Out = std::move(*It);
   Insts.erase(It);
-  Out->Parent = nullptr;
-  return Out;
+  I->Parent = nullptr;
+  return I;
 }
 
-std::vector<std::unique_ptr<Instruction>> BasicBlock::takePhis() {
-  return std::move(Phis);
+void BasicBlock::poisonContents() {
+  for (Instruction *I : Phis)
+    I->poisonErased();
+  for (Instruction *I : Insts)
+    I->poisonErased();
 }
 
 unsigned BasicBlock::predIndex(const BasicBlock *P) const {
@@ -84,7 +84,7 @@ void BasicBlock::replacePred(BasicBlock *Old, BasicBlock *New) {
 
 void BasicBlock::removePredEdge(const BasicBlock *P) {
   unsigned Slot = predIndex(P);
-  for (const auto &Phi : Phis)
+  for (Instruction *Phi : Phis)
     Phi->removePhiOperand(Slot);
   Preds.erase(Preds.begin() + Slot);
 }

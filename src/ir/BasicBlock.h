@@ -6,13 +6,18 @@
 /// also owns its predecessor list; phi operand order is kept in lock-step
 /// with that list, which is the invariant every SSA algorithm here leans on.
 ///
+/// A block lists its instructions by pointer; they live in the function's
+/// pool. An instruction leaves a block only through an erase (its bytes
+/// stay in the pool until the function dies, poisoned under
+/// AddressSanitizer) or through takeInst, which hands it back for
+/// re-insertion.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCC_IR_BASICBLOCK_H
 #define FCC_IR_BASICBLOCK_H
 
 #include "ir/Instruction.h"
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,36 +33,32 @@ public:
   Function *getParent() const { return Parent; }
 
   /// Phi instructions, conceptually executed in parallel at block entry.
-  const std::vector<std::unique_ptr<Instruction>> &phis() const {
-    return Phis;
-  }
+  const std::vector<Instruction *> &phis() const { return Phis; }
   /// Ordinary instructions; the last one is the terminator once the block is
   /// complete.
-  const std::vector<std::unique_ptr<Instruction>> &insts() const {
-    return Insts;
-  }
+  const std::vector<Instruction *> &insts() const { return Insts; }
 
   bool hasTerminator() const {
     return !Insts.empty() && Insts.back()->isTerminator();
   }
   Instruction *terminator() const {
     assert(hasTerminator() && "block has no terminator");
-    return Insts.back().get();
+    return Insts.back();
   }
 
   /// Appends \p I; terminators may only be appended last.
-  Instruction *append(std::unique_ptr<Instruction> I);
+  Instruction *append(Instruction *I);
 
   /// Adds a phi instruction (order among phis is irrelevant semantically).
-  Instruction *addPhi(std::unique_ptr<Instruction> I);
+  Instruction *addPhi(Instruction *I);
 
   /// Inserts \p I immediately before the terminator (copy insertion point).
-  Instruction *insertBeforeTerminator(std::unique_ptr<Instruction> I);
+  Instruction *insertBeforeTerminator(Instruction *I);
 
   /// Inserts \p I at body position \p Index (0 = before the first non-phi).
-  Instruction *insertAt(unsigned Index, std::unique_ptr<Instruction> I);
+  Instruction *insertAt(unsigned Index, Instruction *I);
 
-  /// Removes the non-phi instruction \p I from the block.
+  /// Erases the non-phi instruction \p I from the block.
   void eraseInst(Instruction *I);
 
   /// Removes every phi for which \p Pred(const Instruction &) holds, in one
@@ -83,30 +84,26 @@ public:
   /// before and right after it (nothing after the terminator). The batch
   /// counterpart of insertAt, as eraseInstsIf is of eraseInst: inserting
   /// one at a time costs a shift per instruction.
-  using InstList = std::vector<std::unique_ptr<Instruction>>;
+  using InstList = std::vector<Instruction *>;
   template <typename FnT> void insertAround(FnT Fn) {
     InstList Out, Before, After;
     Out.reserve(Insts.size());
-    for (std::unique_ptr<Instruction> &I : Insts) {
+    for (Instruction *I : Insts) {
       Fn(*I, Before, After);
       assert((After.empty() || !I->isTerminator()) &&
              "inserting past the terminator");
       if (!Before.empty())
         adopt(Out, Before);
-      Out.push_back(std::move(I));
+      Out.push_back(I);
       if (!After.empty())
         adopt(Out, After);
     }
     Insts = std::move(Out);
   }
 
-  /// Detaches the non-terminator body instruction \p I, returning ownership
-  /// so a pass can re-insert it elsewhere (code motion).
-  std::unique_ptr<Instruction> takeInst(Instruction *I);
-
-  /// Removes all phis, returning ownership to the caller (SSA destruction
-  /// consumes them in bulk).
-  std::vector<std::unique_ptr<Instruction>> takePhis();
+  /// Detaches the non-terminator body instruction \p I and returns it, so
+  /// a pass can re-insert it elsewhere (code motion).
+  Instruction *takeInst(Instruction *I);
 
   const std::vector<BasicBlock *> &preds() const { return Preds; }
   unsigned getNumPreds() const { return static_cast<unsigned>(Preds.size()); }
@@ -126,7 +123,7 @@ public:
   void removePredEdge(const BasicBlock *P);
 
   /// Successor blocks as named by the terminator.
-  const std::vector<BasicBlock *> &succs() const {
+  std::span<BasicBlock *const> succs() const {
     return terminator()->successors();
   }
 
@@ -142,18 +139,38 @@ private:
   /// leaving \p From empty (insertAround's splice).
   void adopt(InstList &To, InstList &From);
 
-  template <typename PredT>
-  static unsigned eraseIf(std::vector<std::unique_ptr<Instruction>> &List,
-                          PredT &Pred) {
-    return static_cast<unsigned>(std::erase_if(
-        List, [&](const std::unique_ptr<Instruction> &I) { return Pred(*I); }));
+  /// Appends to a block list, starting it at four slots: blocks average
+  /// three or four instructions and one or two predecessors, so one
+  /// allocation replaces a growth step per doubling.
+  template <typename T> static void pushSmall(std::vector<T> &List, T X) {
+    if (List.capacity() == 0)
+      List.reserve(4);
+    List.push_back(X);
   }
+
+  /// Keeps the instructions \p Pred spares, in order, and erases the rest.
+  /// Every predicate runs before the first erased instruction is poisoned.
+  template <typename PredT>
+  static unsigned eraseIf(InstList &List, PredT &Pred) {
+    size_t Kept = 0;
+    for (size_t I = 0, E = List.size(); I != E; ++I)
+      if (!Pred(*List[I]))
+        std::swap(List[Kept++], List[I]);
+    for (size_t I = Kept, E = List.size(); I != E; ++I)
+      List[I]->poisonErased();
+    unsigned Removed = static_cast<unsigned>(List.size() - Kept);
+    List.resize(Kept);
+    return Removed;
+  }
+
+  /// Poisons every instruction of a block its function is deleting.
+  void poisonContents();
 
   unsigned Id;
   std::string Name;
   Function *Parent;
-  std::vector<std::unique_ptr<Instruction>> Phis;
-  std::vector<std::unique_ptr<Instruction>> Insts;
+  InstList Phis;
+  InstList Insts;
   std::vector<BasicBlock *> Preds;
 };
 

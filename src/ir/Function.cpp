@@ -3,22 +3,56 @@
 #include "ir/Function.h"
 
 #include <algorithm>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 using namespace fcc;
+
+Function::~Function() {
+  // Instructions are trivially destructible and Blocks' deleters destroy
+  // the blocks; the variables' names are the rest of what holds memory
+  // outside the pool. The chunks go with Pool, the last member destroyed.
+  for (Variable *V : Vars)
+    V->~Variable();
+}
 
 Variable *Function::makeVariable(std::string VarName,
                                  const Variable *Origin) {
   unsigned Id = static_cast<unsigned>(Vars.size());
-  Vars.push_back(std::unique_ptr<Variable>(
-      new Variable(Id, std::move(VarName), Origin)));
-  return Vars.back().get();
+  void *Mem = Pool.allocate(sizeof(Variable), alignof(Variable));
+  Vars.push_back(new (Mem) Variable(Id, std::move(VarName), Origin));
+  return Vars.back();
 }
 
 BasicBlock *Function::makeBlock(std::string BlockName) {
   unsigned Id = static_cast<unsigned>(Blocks.size());
-  Blocks.push_back(std::unique_ptr<BasicBlock>(
-      new BasicBlock(Id, std::move(BlockName), this)));
+  void *Mem = Pool.allocate(sizeof(BasicBlock), alignof(BasicBlock));
+  Blocks.emplace_back(new (Mem) BasicBlock(Id, std::move(BlockName), this));
   return Blocks.back().get();
+}
+
+void Function::DestroyInPool::operator()(BasicBlock *B) const {
+  B->~BasicBlock();
+  ASAN_POISON_MEMORY_REGION(B, sizeof(BasicBlock));
+}
+
+Instruction *Function::makeInstruction(Opcode Op, Variable *Def,
+                                       std::span<const Operand> Ops,
+                                       std::span<BasicBlock *const> Succs) {
+  static_assert(std::is_trivially_destructible_v<Instruction> &&
+                    sizeof(Instruction) % alignof(Operand) == 0,
+                "operands are stored behind the instruction, never freed");
+  size_t Bytes = sizeof(Instruction) + Ops.size() * sizeof(Operand) +
+                 Succs.size() * sizeof(BasicBlock *);
+  char *Mem = static_cast<char *>(Pool.allocate(Bytes, alignof(Instruction)));
+  auto *OpMem = reinterpret_cast<Operand *>(Mem + sizeof(Instruction));
+  auto *SuccMem = reinterpret_cast<BasicBlock **>(OpMem + Ops.size());
+  std::uninitialized_copy(Ops.begin(), Ops.end(), OpMem);
+  std::uninitialized_copy(Succs.begin(), Succs.end(), SuccMem);
+  return new (Mem)
+      Instruction(Op, Def, OpMem, static_cast<unsigned>(Ops.size()), SuccMem,
+                  static_cast<unsigned>(Succs.size()));
 }
 
 bool Function::isParam(const Variable *V) const {
@@ -33,9 +67,9 @@ BasicBlock *Function::findBlock(const std::string &BlockName) const {
 }
 
 Variable *Function::findVariable(const std::string &VarName) const {
-  for (const auto &V : Vars)
+  for (Variable *V : Vars)
     if (V->name() == VarName)
-      return V.get();
+      return V;
   return nullptr;
 }
 
@@ -49,7 +83,7 @@ void Function::recomputePreds() {
     if (!B->hasTerminator())
       continue;
     for (BasicBlock *S : B->terminator()->successors())
-      S->Preds.push_back(B.get());
+      BasicBlock::pushSmall(S->Preds, B.get());
   }
 }
 
@@ -84,6 +118,7 @@ unsigned Function::removeUnreachableBlocks() {
   unsigned Removed = 0;
   for (size_t I = Blocks.size(); I-- != 0;)
     if (!Reached[Blocks[I]->id()]) {
+      Blocks[I]->poisonContents();
       Blocks.erase(Blocks.begin() + I);
       ++Removed;
     }

@@ -5,6 +5,12 @@
 /// entry block b0 (Section 2 of the paper); parameters behave as variables
 /// defined on entry, which is what makes parameter-using programs strict.
 ///
+/// Every block, instruction and variable of the function lives in one
+/// pool: a chunked arena that starts small and doubles its chunks. The
+/// function makes every instruction (makeInstruction), blocks link them,
+/// and an erased instruction stays in the pool until the function dies,
+/// which drops the chunks instead of freeing objects one at a time.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCC_IR_FUNCTION_H
@@ -12,7 +18,10 @@
 
 #include "ir/BasicBlock.h"
 #include "ir/Variable.h"
+#include "support/Arena.h"
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,7 +30,9 @@ namespace fcc {
 /// One procedure: a CFG over BasicBlocks plus the variable universe.
 class Function {
 public:
-  explicit Function(std::string Name) : Name(std::move(Name)) {}
+  explicit Function(std::string Name)
+      : Pool(PoolFirstChunkBytes, PoolMaxChunkBytes), Name(std::move(Name)) {}
+  ~Function();
 
   Function(const Function &) = delete;
   Function &operator=(const Function &) = delete;
@@ -37,6 +48,19 @@ public:
   /// ever created is the entry block.
   BasicBlock *makeBlock(std::string BlockName);
 
+  /// Creates an instruction in this function's pool, copying \p Ops and
+  /// \p Succs behind it. The only way to make an instruction; it belongs
+  /// to no block until one of the block's insertion methods links it.
+  Instruction *makeInstruction(Opcode Op, Variable *Def,
+                               std::span<const Operand> Ops,
+                               std::span<BasicBlock *const> Succs = {});
+  Instruction *makeInstruction(Opcode Op, Variable *Def,
+                               std::initializer_list<Operand> Ops,
+                               std::initializer_list<BasicBlock *> Succs = {}) {
+    return makeInstruction(Op, Def, std::span(Ops.begin(), Ops.size()),
+                           std::span(Succs.begin(), Succs.size()));
+  }
+
   /// Declares \p V as a function parameter (defined on entry).
   void addParam(Variable *V) { Params.push_back(V); }
   const std::vector<Variable *> &params() const { return Params; }
@@ -47,19 +71,22 @@ public:
     return Blocks.front().get();
   }
 
-  const std::vector<std::unique_ptr<BasicBlock>> &blocks() const {
-    return Blocks;
-  }
+  /// Destroys a block in place; its bytes stay in the pool, poisoned
+  /// under AddressSanitizer.
+  struct DestroyInPool {
+    void operator()(BasicBlock *B) const;
+  };
+  using BlockPtr = std::unique_ptr<BasicBlock, DestroyInPool>;
+
+  const std::vector<BlockPtr> &blocks() const { return Blocks; }
   unsigned numBlocks() const { return static_cast<unsigned>(Blocks.size()); }
 
-  const std::vector<std::unique_ptr<Variable>> &variables() const {
-    return Vars;
-  }
+  const std::vector<Variable *> &variables() const { return Vars; }
   unsigned numVariables() const { return static_cast<unsigned>(Vars.size()); }
 
   Variable *variable(unsigned Id) const {
     assert(Id < Vars.size() && "variable id out of range");
-    return Vars[Id].get();
+    return Vars[Id];
   }
 
   BasicBlock *block(unsigned Id) const {
@@ -89,7 +116,7 @@ public:
   /// Registers \p Pred as a new predecessor of \p Succ (appended last). Any
   /// phis in \p Succ must be extended by the caller.
   void addPredEdge(BasicBlock *Succ, BasicBlock *Pred) {
-    Succ->Preds.push_back(Pred);
+    BasicBlock::pushSmall(Succ->Preds, Pred);
   }
 
   /// Total instruction count (phis + bodies) across all blocks.
@@ -102,10 +129,19 @@ public:
   unsigned staticCopyCount() const;
 
 private:
+  friend class Instruction; // phis grow their operand arrays in the pool
+
+  /// A paper-suite function's IR takes a few KB; big units double their
+  /// way up to the cap.
+  static constexpr size_t PoolFirstChunkBytes = size_t(2) << 10;
+  static constexpr size_t PoolMaxChunkBytes = size_t(64) << 10;
+
+  /// Blocks, instructions with their operands and successors, variables.
+  Arena Pool;
   std::string Name;
   std::vector<Variable *> Params;
-  std::vector<std::unique_ptr<Variable>> Vars;
-  std::vector<std::unique_ptr<BasicBlock>> Blocks;
+  std::vector<Variable *> Vars;
+  std::vector<BlockPtr> Blocks;
 };
 
 } // namespace fcc

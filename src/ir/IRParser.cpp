@@ -546,15 +546,15 @@ bool Parser::parseStatement(Function &F, BasicBlock *B) {
         return fail(*Op == Opcode::Const
                         ? "'const' requires an integer literal"
                         : "'reload' requires an integer slot literal");
-      std::vector<Operand> Ops{Operand::imm(Cur.Value)};
+      Operand Imm = Operand::imm(Cur.Value);
       advance();
-      B->append(std::make_unique<Instruction>(*Op, Def, std::move(Ops)));
+      B->append(F.makeInstruction(*Op, Def, {Imm}));
       return true;
     }
 
     int NumOps = opcodeNumOperands(*Op);
-    assert(NumOps >= 0 && "phi handled above");
-    std::vector<Operand> Ops(NumOps);
+    assert(NumOps >= 0 && NumOps <= 2 && "phi handled above");
+    Operand Ops[2];
     for (int I = 0; I != NumOps; ++I) {
       if (I != 0 && !expect(TokenKind::Comma, "','"))
         return false;
@@ -564,7 +564,7 @@ bool Parser::parseStatement(Function &F, BasicBlock *B) {
     if (*Op == Opcode::Copy && !Ops[0].isVar())
       return fail(
           "'copy' source must be a variable (use 'const' for immediates)");
-    B->append(std::make_unique<Instruction>(*Op, Def, std::move(Ops)));
+    B->append(F.makeInstruction(*Op, Def, std::span(Ops, NumOps)));
     return true;
   }
 
@@ -579,29 +579,27 @@ bool Parser::parseStatement(Function &F, BasicBlock *B) {
 
   switch (*Op) {
   case Opcode::Store: {
-    std::vector<Operand> Ops(2);
+    Operand Ops[2];
     if (!parseOperand(F, Ops[0]) || !expect(TokenKind::Comma, "','") ||
         !parseOperand(F, Ops[1]))
       return false;
-    B->append(
-        std::make_unique<Instruction>(Opcode::Store, nullptr, std::move(Ops)));
+    B->append(F.makeInstruction(Opcode::Store, nullptr, Ops));
     return true;
   }
   case Opcode::Br: {
     size_t FirstFixup = Fixups.size();
-    std::vector<BasicBlock *> Succs(1);
+    BasicBlock *Succs[1] = {};
     std::string_view Name;
     if (!parseLabel(0, Succs[0], Name))
       return false;
-    bindFixups(FirstFixup, B->append(std::make_unique<Instruction>(
-                               Opcode::Br, nullptr, std::vector<Operand>{},
-                               std::move(Succs))));
+    bindFixups(FirstFixup,
+               B->append(F.makeInstruction(Opcode::Br, nullptr, {}, Succs)));
     return true;
   }
   case Opcode::CondBr: {
     size_t FirstFixup = Fixups.size();
-    std::vector<Operand> Ops(1);
-    std::vector<BasicBlock *> Succs(2);
+    Operand Ops[1];
+    BasicBlock *Succs[2] = {};
     std::string_view Then, Else;
     if (!parseOperand(F, Ops[0]) || !expect(TokenKind::Comma, "','") ||
         !parseLabel(0, Succs[0], Then) || !expect(TokenKind::Comma, "','") ||
@@ -611,20 +609,19 @@ bool Parser::parseStatement(Function &F, BasicBlock *B) {
       return failAt(Line, "'cbr' successors must be distinct (multi-edges "
                           "would break phi/predecessor alignment)");
     bindFixups(FirstFixup,
-               B->append(std::make_unique<Instruction>(
-                   Opcode::CondBr, nullptr, std::move(Ops), std::move(Succs))));
+               B->append(F.makeInstruction(Opcode::CondBr, nullptr, Ops,
+                                           Succs)));
     return true;
   }
   case Opcode::Ret: {
-    std::vector<Operand> Ops(1);
+    Operand Ops[1];
     if (!parseOperand(F, Ops[0]))
       return false;
-    B->append(
-        std::make_unique<Instruction>(Opcode::Ret, nullptr, std::move(Ops)));
+    B->append(F.makeInstruction(Opcode::Ret, nullptr, Ops));
     return true;
   }
   case Opcode::Spill: {
-    std::vector<Operand> Ops(2);
+    Operand Ops[2];
     if (!parseOperand(F, Ops[0]) || !expect(TokenKind::Comma, "','"))
       return false;
     if (!Ops[0].isVar())
@@ -633,8 +630,7 @@ bool Parser::parseStatement(Function &F, BasicBlock *B) {
       return fail("'spill' requires an integer slot literal");
     Ops[1] = Operand::imm(Cur.Value);
     advance();
-    B->append(
-        std::make_unique<Instruction>(Opcode::Spill, nullptr, std::move(Ops)));
+    B->append(F.makeInstruction(Opcode::Spill, nullptr, Ops));
     return true;
   }
   default:
@@ -644,6 +640,7 @@ bool Parser::parseStatement(Function &F, BasicBlock *B) {
 
 bool Parser::resolvePhis() {
   std::vector<bool> Seen;
+  std::vector<Operand> Ordered;
   for (const PendingPhi &P : Phis) {
     BasicBlock *B = P.Block;
     const std::vector<BasicBlock *> &Preds = B->preds();
@@ -652,7 +649,7 @@ bool Parser::resolvePhis() {
                                 std::to_string(P.NumArgs) +
                                 " incoming values but the block has " +
                                 std::to_string(Preds.size()) + " predecessors");
-    std::vector<Operand> Ordered(Preds.size());
+    Ordered.assign(Preds.size(), Operand());
     Seen.assign(Preds.size(), false);
     for (unsigned A = P.FirstArg, E = A + P.NumArgs; A != E; ++A) {
       const PendingPhiArg &Arg = PhiArgs[A];
@@ -671,8 +668,7 @@ bool Parser::resolvePhis() {
       Seen[Slot] = true;
       Ordered[Slot] = Arg.Value;
     }
-    B->addPhi(std::make_unique<Instruction>(Opcode::Phi, P.Def,
-                                            std::move(Ordered)));
+    B->addPhi(B->getParent()->makeInstruction(Opcode::Phi, P.Def, Ordered));
   }
   return true;
 }

@@ -1,24 +1,47 @@
 //===- ir/Instruction.cpp -------------------------------------------------===//
 
 #include "ir/Instruction.h"
+#include "ir/Function.h"
 #include "ir/Variable.h"
+
+#include <algorithm>
 
 using namespace fcc;
 
-Instruction::Instruction(Opcode Op, Variable *Def,
-                         std::vector<Operand> Operands,
-                         std::vector<BasicBlock *> Successors)
-    : Op(Op), Def(Def), Operands(std::move(Operands)),
-      Successors(std::move(Successors)) {
+Instruction::Instruction(Opcode Op, Variable *Def, Operand *Ops,
+                         unsigned NumOps, BasicBlock **Succs,
+                         unsigned NumSuccs)
+    : Op(Op), NumSuccs(static_cast<uint8_t>(NumSuccs)), NumOps(NumOps),
+      Capacity(NumOps), Def(Def), Ops(Ops), Succs(Succs) {
   assert((Def == nullptr || opcodeHasDef(Op)) &&
          "def supplied for a non-defining opcode");
   int Required = opcodeNumOperands(Op);
-  assert((Required < 0 ||
-          this->Operands.size() == static_cast<size_t>(Required)) &&
+  assert((Required < 0 || NumOps == static_cast<unsigned>(Required)) &&
          "wrong operand count for opcode");
   (void)Required;
-  assert(this->Successors.size() == opcodeNumSuccessors(Op) &&
+  assert(NumSuccs == opcodeNumSuccessors(Op) &&
          "wrong successor count for opcode");
+}
+
+void Instruction::addPhiOperand(Operand O) {
+  assert(isPhi() && "not a phi");
+  if (NumOps == Capacity) {
+    assert(Parent && "a phi grows in its block's function pool");
+    unsigned Grown = Capacity < 2 ? 4 : 2 * Capacity;
+    Operand *To =
+        Parent->getParent()->Pool.allocateArray<Operand>(Grown);
+    std::copy(Ops, Ops + NumOps, To);
+    ASAN_POISON_MEMORY_REGION(Ops, Capacity * sizeof(Operand));
+    Ops = To;
+    Capacity = Grown;
+  }
+  Ops[NumOps++] = O;
+}
+
+void Instruction::poisonErased() {
+  ASAN_POISON_MEMORY_REGION(Ops, Capacity * sizeof(Operand));
+  ASAN_POISON_MEMORY_REGION(Succs, NumSuccs * sizeof(BasicBlock *));
+  ASAN_POISON_MEMORY_REGION(this, sizeof(Instruction));
 }
 
 const char *fcc::opcodeName(Opcode Op) {
@@ -75,7 +98,7 @@ const char *fcc::opcodeName(Opcode Op) {
 }
 
 bool Instruction::uses(const Variable *V) const {
-  for (const Operand &O : Operands)
+  for (const Operand &O : operands())
     if (O.isVar() && O.getVar() == V)
       return true;
   return false;

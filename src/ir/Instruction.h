@@ -6,6 +6,12 @@
 /// the parent block's predecessor list; terminators carry their successor
 /// blocks directly.
 ///
+/// Every instruction lives in its Function's pool (Function::
+/// makeInstruction is the only way to make one), with its operand and
+/// successor arrays stored right behind it. Nothing here owns heap memory,
+/// so an instruction is never destroyed: erasing it unlinks it from its
+/// block, and its bytes go when the function does.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCC_IR_INSTRUCTION_H
@@ -14,18 +20,20 @@
 #include "ir/Opcode.h"
 #include "ir/Operand.h"
 #include <cassert>
-#include <vector>
+#include <cstdint>
+#include <span>
 
 namespace fcc {
 
 class BasicBlock;
 class Variable;
 
-/// One IR operation. Owned by its parent BasicBlock.
+/// One IR operation. Lives in its Function's pool; linked into at most one
+/// BasicBlock at a time.
 class Instruction {
 public:
-  Instruction(Opcode Op, Variable *Def, std::vector<Operand> Operands,
-              std::vector<BasicBlock *> Successors = {});
+  Instruction(const Instruction &) = delete;
+  Instruction &operator=(const Instruction &) = delete;
 
   Opcode opcode() const { return Op; }
   bool isPhi() const { return Op == Opcode::Phi; }
@@ -39,32 +47,30 @@ public:
     Def = V;
   }
 
-  unsigned getNumOperands() const {
-    return static_cast<unsigned>(Operands.size());
-  }
+  unsigned getNumOperands() const { return NumOps; }
   const Operand &getOperand(unsigned I) const {
-    assert(I < Operands.size() && "operand index out of range");
-    return Operands[I];
+    assert(I < NumOps && "operand index out of range");
+    return Ops[I];
   }
   Operand &getOperand(unsigned I) {
-    assert(I < Operands.size() && "operand index out of range");
-    return Operands[I];
+    assert(I < NumOps && "operand index out of range");
+    return Ops[I];
   }
 
-  const std::vector<Operand> &operands() const { return Operands; }
-  std::vector<Operand> &operands() { return Operands; }
+  std::span<const Operand> operands() const { return {Ops, NumOps}; }
+  std::span<Operand> operands() { return {Ops, NumOps}; }
 
   /// Invokes \p Fn on every variable operand (mutable, so renamers can
   /// retarget uses in place).
   template <typename CallableT> void forEachUse(CallableT Fn) {
-    for (Operand &O : Operands)
+    for (Operand &O : operands())
       if (O.isVar())
         Fn(O);
   }
 
   /// Invokes \p Fn on every used Variable.
   template <typename CallableT> void forEachUsedVar(CallableT Fn) const {
-    for (const Operand &O : Operands)
+    for (const Operand &O : operands())
       if (O.isVar())
         Fn(O.getVar());
   }
@@ -72,40 +78,52 @@ public:
   /// True when some operand reads \p V.
   bool uses(const Variable *V) const;
 
-  unsigned getNumSuccessors() const {
-    return static_cast<unsigned>(Successors.size());
-  }
+  unsigned getNumSuccessors() const { return NumSuccs; }
   BasicBlock *getSuccessor(unsigned I) const {
-    assert(I < Successors.size() && "successor index out of range");
-    return Successors[I];
+    assert(I < NumSuccs && "successor index out of range");
+    return Succs[I];
   }
   void setSuccessor(unsigned I, BasicBlock *B) {
-    assert(I < Successors.size() && "successor index out of range");
-    Successors[I] = B;
+    assert(I < NumSuccs && "successor index out of range");
+    Succs[I] = B;
   }
-  const std::vector<BasicBlock *> &successors() const { return Successors; }
+  std::span<BasicBlock *const> successors() const {
+    return {Succs, NumSuccs};
+  }
 
   /// Phi helpers: adds an incoming operand for a freshly added predecessor.
-  void addPhiOperand(Operand O) {
-    assert(isPhi() && "not a phi");
-    Operands.push_back(O);
-  }
+  /// A full operand array moves to a larger one in the function's pool, so
+  /// the phi must be in a block.
+  void addPhiOperand(Operand O);
   /// Phi helpers: removes the incoming operand at predecessor slot \p I.
   void removePhiOperand(unsigned I) {
-    assert(isPhi() && I < Operands.size() && "bad phi slot");
-    Operands.erase(Operands.begin() + I);
+    assert(isPhi() && I < NumOps && "bad phi slot");
+    for (unsigned J = I + 1; J != NumOps; ++J)
+      Ops[J - 1] = Ops[J];
+    --NumOps;
   }
 
   BasicBlock *getParent() const { return Parent; }
 
 private:
   friend class BasicBlock;
+  friend class Function;
+
+  Instruction(Opcode Op, Variable *Def, Operand *Ops, unsigned NumOps,
+              BasicBlock **Succs, unsigned NumSuccs);
+
+  /// Marks an unlinked instruction's bytes off limits to AddressSanitizer,
+  /// so a stale pointer to it still reports; a no-op in other builds.
+  void poisonErased();
 
   Opcode Op;
+  uint8_t NumSuccs;
+  unsigned NumOps;
+  unsigned Capacity; ///< Operand slots at Ops (phis grow into a new array).
   Variable *Def;
-  std::vector<Operand> Operands;
-  std::vector<BasicBlock *> Successors;
   BasicBlock *Parent = nullptr;
+  Operand *Ops;
+  BasicBlock **Succs;
 };
 
 } // namespace fcc

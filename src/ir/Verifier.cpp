@@ -34,7 +34,7 @@ bool fcc::verifyFunction(const Function &F, std::string &Error) {
       if (I->isPhi())
         return failVerify(Error,
                           "phi outside the phi list in '" + B->name() + "'");
-      if (I->isTerminator() && I.get() != B->terminator())
+      if (I->isTerminator() && I != B->terminator())
         return failVerify(Error,
                           "terminator mid-block in '" + B->name() + "'");
       if (I->getParent() != B.get())
@@ -158,9 +158,9 @@ unsigned fcc::enforceStrictness(Function &F) {
   BasicBlock *Entry = F.entry();
   unsigned Inserted = 0;
   for (const Variable *V : Bad) {
-    Entry->insertAt(Inserted++, std::make_unique<Instruction>(
-                                    Opcode::Const, const_cast<Variable *>(V),
-                                    std::vector<Operand>{Operand::imm(0)}));
+    Entry->insertAt(Inserted++,
+                    F.makeInstruction(Opcode::Const, const_cast<Variable *>(V),
+                                      {Operand::imm(0)}));
   }
   return Inserted;
 }

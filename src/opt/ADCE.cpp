@@ -47,10 +47,10 @@ ADCEStats fcc::runADCE(Function &F) {
   std::vector<Instruction *> DefOf(F.numVariables(), nullptr);
   for (const auto &B : F.blocks()) {
     for (const auto &Phi : B->phis())
-      DefOf[Phi->getDef()->id()] = Phi.get();
+      DefOf[Phi->getDef()->id()] = Phi;
     for (const auto &I : B->insts())
       if (I->getDef())
-        DefOf[I->getDef()->id()] = I.get();
+        DefOf[I->getDef()->id()] = I;
   }
 
   // Live-marking fixpoint.
@@ -67,7 +67,7 @@ ADCEStats fcc::runADCE(Function &F) {
       case Opcode::Ret:
       case Opcode::Store:
       case Opcode::Spill:
-        MarkLive(I.get());
+        MarkLive(I);
         break;
       // Br and CondBr are NOT roots (when retargeting is allowed): a
       // block whose only content is its terminator must count as dead, or
@@ -78,7 +78,7 @@ ADCEStats fcc::runADCE(Function &F) {
       case Opcode::Br:
       case Opcode::CondBr:
         if (!CanRetarget)
-          MarkLive(I.get());
+          MarkLive(I);
         break;
       default:
         break;
@@ -141,9 +141,7 @@ ADCEStats fcc::runADCE(Function &F) {
         F.addPredEdge(R, B.get());
       }
       B->eraseInst(Term);
-      B->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                              std::vector<Operand>{},
-                                              std::vector<BasicBlock *>{R}));
+      B->append(F.makeInstruction(Opcode::Br, nullptr, {}, {R}));
       ++Stats.BranchesFolded;
     }
     if (Stats.BranchesFolded) {

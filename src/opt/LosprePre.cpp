@@ -86,7 +86,7 @@ LosprePreStats fcc::runLosprePre(Function &F) {
       if (Fresh)
         for (const auto &I : T->insts())
           if (isPureCandidate(I->opcode()))
-            It->second.emplace(keyOf(*I), I.get());
+            It->second.emplace(keyOf(*I), I);
       return It->second;
     };
 
@@ -104,7 +104,7 @@ LosprePreStats fcc::runLosprePre(Function &F) {
         std::vector<Instruction *> Candidates;
         for (const auto &I : B->insts())
           if (isPureCandidate(I->opcode()))
-            Candidates.push_back(I.get());
+            Candidates.push_back(I);
         for (Instruction *I : Candidates) {
           bool Invariant = true;
           I->forEachUsedVar([&](const Variable *V) {

@@ -80,15 +80,14 @@ unsigned fcc::demoteSinglePredPhis(Function &F) {
     // live out of that predecessor. No phi here can name another phi of
     // this block (see the header comment), so sequential copies at the
     // top of the block preserve the parallel-merge semantics.
-    std::vector<std::unique_ptr<Instruction>> Phis = B->takePhis();
     unsigned At = 0;
-    for (auto &Phi : Phis) {
-      Operand Op = Phi->operands()[0];
-      B->insertAt(At++, std::make_unique<Instruction>(
-                            Op.isImm() ? Opcode::Const : Opcode::Copy,
-                            Phi->getDef(), std::vector<Operand>{Op}));
-      ++Demoted;
+    for (Instruction *Phi : B->phis()) {
+      Operand Op = Phi->getOperand(0);
+      B->insertAt(At++, F.makeInstruction(Op.isImm() ? Opcode::Const
+                                                     : Opcode::Copy,
+                                          Phi->getDef(), {Op}));
     }
+    Demoted += B->erasePhisIf([](const Instruction &) { return true; });
   }
   return Demoted;
 }

@@ -107,10 +107,10 @@ public:
     for (const auto &B : F.blocks()) {
       for (const auto &Phi : B->phis())
         Phi->forEachUsedVar(
-            [&](const Variable *V) { Users[V->id()].push_back(Phi.get()); });
+            [&](const Variable *V) { Users[V->id()].push_back(Phi); });
       for (const auto &I : B->insts())
         I->forEachUsedVar(
-            [&](const Variable *V) { Users[V->id()].push_back(I.get()); });
+            [&](const Variable *V) { Users[V->id()].push_back(I); });
     }
   }
 
@@ -297,9 +297,8 @@ SCCPStats fcc::runSCCP(Function &F) {
     return Solver.valueOf(I.getDef()).State == LatticeValue::Constant;
   };
   auto ConstFor = [&](Variable *Def) {
-    return std::make_unique<Instruction>(
-        Opcode::Const, Def,
-        std::vector<Operand>{Operand::imm(Solver.valueOf(Def).Value)});
+    return F.makeInstruction(Opcode::Const, Def,
+                             {Operand::imm(Solver.valueOf(Def).Value)});
   };
   for (const auto &B : F.blocks()) {
     if (!Solver.executable(B.get()))
@@ -309,7 +308,7 @@ SCCPStats fcc::runSCCP(Function &F) {
         B->insertAt(0, ConstFor(Phi->getDef()));
     Stats.ConstantsFolded += B->erasePhisIf(IsConstant);
     for (unsigned Index = 0, E = B->size(); Index != E; ++Index) {
-      Instruction *I = B->insts()[Index].get();
+      Instruction *I = B->insts()[Index];
       if (!I->getDef() || I->opcode() == Opcode::Const || !IsConstant(*I))
         continue;
       Variable *Def = I->getDef();
@@ -379,9 +378,7 @@ SCCPStats fcc::runSCCP(Function &F) {
       continue;
     Dead->removePredEdge(B.get());
     B->eraseInst(Term);
-    B->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                            std::vector<Operand>{},
-                                            std::vector<BasicBlock *>{Taken}));
+    B->append(F.makeInstruction(Opcode::Br, nullptr, {}, {Taken}));
     ++Stats.BranchesFolded;
   }
   if (Stats.BranchesFolded) {

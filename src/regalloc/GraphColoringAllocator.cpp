@@ -41,14 +41,35 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
     return Flags && Id < Flags->size() && (*Flags)[Id];
   };
 
-  // The coloring universe: every variable except the stack-resident ones,
-  // which hold no register and must not contribute interference (notably
-  // not the calling convention's pairwise parameter edges).
+  // Spill costs: uses and defs weighted 10^depth, Chaitin's classic metric.
+  // Every weight is at least 1, so a positive cost marks a name the code
+  // defines or uses.
+  std::vector<double> Cost(N, 0.0);
+  for (const auto &B : F.blocks()) {
+    double Weight = 1.0;
+    for (unsigned D = LoopDepth[B->id()]; D != 0; --D)
+      Weight *= 10.0;
+    for (const Instruction *I : B->insts()) {
+      I->forEachUsedVar([&](Variable *V) { Cost[V->id()] += Weight; });
+      if (Variable *Def = I->getDef())
+        Cost[Def->id()] += Weight;
+    }
+  }
+
+  // The coloring universe, in id order: the names the code defines or
+  // uses, plus the parameters, except the stack-resident ones, which hold
+  // no register and must not contribute interference (notably not the
+  // calling convention's pairwise parameter edges). A name SSA
+  // construction or coalescing removed from the code gets no register.
+  std::vector<bool> IsParam(N, false);
+  for (const Variable *P : F.params())
+    IsParam[P->id()] = true;
   std::vector<Variable *> Nodes;
   Nodes.reserve(N);
-  for (const auto &V : F.variables())
-    if (!Flagged(Opts.StackResident, V->id()))
-      Nodes.push_back(V.get());
+  for (Variable *V : F.variables())
+    if ((Cost[V->id()] > 0 || IsParam[V->id()]) &&
+        !Flagged(Opts.StackResident, V->id()))
+      Nodes.push_back(V);
 
   InterferenceGraph::BuildOptions BuildOpts;
   BuildOpts.BuildAdjacencyLists = true;
@@ -61,19 +82,6 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
   for (unsigned C = 0; C != NumClasses; ++C) {
     ClassK[C] = MM.Classes[C].NumRegisters;
     ClassBase[C] = MM.classBase(C);
-  }
-
-  // Spill costs: uses and defs weighted 10^depth, Chaitin's classic metric.
-  std::vector<double> Cost(N, 0.0);
-  for (const auto &B : F.blocks()) {
-    double Weight = 1.0;
-    for (unsigned D = LoopDepth[B->id()]; D != 0; --D)
-      Weight *= 10.0;
-    for (const auto &I : B->insts()) {
-      I->forEachUsedVar([&](Variable *V) { Cost[V->id()] += Weight; });
-      if (Variable *Def = I->getDef())
-        Cost[Def->id()] += Weight;
-    }
   }
 
   // Simplify: peel nodes whose same-class degree is below their class's

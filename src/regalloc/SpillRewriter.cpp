@@ -63,25 +63,23 @@ private:
   NameSet TakenBlocks;
 };
 
-std::unique_ptr<Instruction> makeSpill(Variable *V, unsigned Slot) {
+Instruction *makeSpill(Function &F, Variable *V, unsigned Slot) {
 #ifdef FCC_FUZZ_PLANT_SPILL_BUG
   // Planted bug for the fuzzer acceptance test: every victim shares slot 0,
   // so two simultaneously-spilled values clobber each other.
   Slot = 0;
 #endif
-  return std::make_unique<Instruction>(
+  return F.makeInstruction(
       Opcode::Spill, nullptr,
-      std::vector<Operand>{Operand::var(V),
-                           Operand::imm(static_cast<int64_t>(Slot))});
+      {Operand::var(V), Operand::imm(static_cast<int64_t>(Slot))});
 }
 
-std::unique_ptr<Instruction> makeReload(Variable *Def, unsigned Slot) {
+Instruction *makeReload(Function &F, Variable *Def, unsigned Slot) {
 #ifdef FCC_FUZZ_PLANT_SPILL_BUG
   Slot = 0;
 #endif
-  return std::make_unique<Instruction>(
-      Opcode::Reload, Def,
-      std::vector<Operand>{Operand::imm(static_cast<int64_t>(Slot))});
+  return F.makeInstruction(Opcode::Reload, Def,
+                           {Operand::imm(static_cast<int64_t>(Slot))});
 }
 
 void markFlag(std::vector<bool> &Flags, unsigned Id) {
@@ -221,7 +219,7 @@ void SpillRewriter::spillEverywhere(Variable *V, unsigned Slot,
       if (I.uses(V)) {
         Variable *T = Names.temp();
         markFlag(NoSpill, T->id());
-        Before.push_back(makeReload(T, Slot));
+        Before.push_back(makeReload(F, T, Slot));
         I.forEachUse([&](Operand &O) {
           if (O.getVar() == V)
             O = Operand::var(T);
@@ -232,13 +230,13 @@ void SpillRewriter::spillEverywhere(Variable *V, unsigned Slot,
         Variable *T = Names.temp();
         markFlag(NoSpill, T->id());
         I.setDef(T);
-        After.push_back(makeSpill(T, Slot));
+        After.push_back(makeSpill(F, T, Slot));
         ++R.SpillStores;
       }
     });
   if (F.isParam(V)) {
     // Parameters are defined on entry; their slot is written once there.
-    F.entry()->insertAt(0, makeSpill(V, Slot));
+    F.entry()->insertAt(0, makeSpill(F, V, Slot));
     ++R.SpillStores;
   }
 }
@@ -302,7 +300,7 @@ bool SpillRewriter::trySplitAroundLoop(Variable *V, unsigned Slot,
   // header of a strict program.
   for (BasicBlock *P : Best->Header->preds())
     if (!InLoop[P->id()]) {
-      P->insertBeforeTerminator(makeSpill(V, Slot));
+      P->insertBeforeTerminator(makeSpill(F, V, Slot));
       ++R.SpillStores;
     }
 
@@ -311,10 +309,8 @@ bool SpillRewriter::trySplitAroundLoop(Variable *V, unsigned Slot,
   // around the loop — that path never wrote the slot.
   for (const ExitEdge &Edge : Exits) {
     BasicBlock *E = Names.block();
-    E->append(makeReload(V, Slot));
-    E->append(std::make_unique<Instruction>(
-        Opcode::Br, nullptr, std::vector<Operand>{},
-        std::vector<BasicBlock *>{Edge.To}));
+    E->append(makeReload(F, V, Slot));
+    E->append(F.makeInstruction(Opcode::Br, nullptr, {}, {Edge.To}));
     Edge.From->terminator()->setSuccessor(Edge.SuccIdx, E);
     Edge.To->replacePred(Edge.From, E);
     F.addPredEdge(E, Edge.From);
@@ -340,8 +336,8 @@ void SpillRewriter::rewriteVictims(RoundLiveness &Live) {
     for (const auto &I : B->insts()) {
       auto Note = [&](const Variable *V) {
         unsigned Idx = VictimIndex[V->id()];
-        if (Idx != ~0u && (Refs[Idx].empty() || Refs[Idx].back() != I.get()))
-          Refs[Idx].push_back(I.get());
+        if (Idx != ~0u && (Refs[Idx].empty() || Refs[Idx].back() != I))
+          Refs[Idx].push_back(I);
       };
       I->forEachUsedVar(Note);
       if (Variable *Def = I->getDef())

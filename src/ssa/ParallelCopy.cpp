@@ -61,8 +61,8 @@ fcc::sequentializeParallelCopy(const std::vector<CopyTask> &Tasks, Function &F,
   }
 
   auto EmitCopy = [&](Variable *Dst, Variable *Src) {
-    Result.Insts.push_back(std::make_unique<Instruction>(
-        Opcode::Copy, Dst, std::vector<Operand>{Operand::var(Src)}));
+    Result.Insts.push_back(
+        F.makeInstruction(Opcode::Copy, Dst, {Operand::var(Src)}));
   };
 
   while (!Todo.empty()) {
@@ -98,8 +98,7 @@ fcc::sequentializeParallelCopy(const std::vector<CopyTask> &Tasks, Function &F,
   }
 
   for (const CopyTask *T : ImmTasks)
-    Result.Insts.push_back(std::make_unique<Instruction>(
-        Opcode::Const, T->Dst, std::vector<Operand>{T->Src}));
+    Result.Insts.push_back(F.makeInstruction(Opcode::Const, T->Dst, {T->Src}));
 
   return Result;
 }

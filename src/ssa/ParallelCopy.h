@@ -13,7 +13,6 @@
 #define FCC_SSA_PARALLELCOPY_H
 
 #include "ir/Instruction.h"
-#include <memory>
 #include <vector>
 
 namespace fcc {
@@ -30,8 +29,9 @@ struct CopyTask {
 
 /// Result of sequentialization.
 struct SequencedCopies {
-  /// Instructions to insert, in order.
-  std::vector<std::unique_ptr<Instruction>> Insts;
+  /// Instructions to insert, in order (made in the function, linked
+  /// nowhere yet).
+  std::vector<Instruction *> Insts;
   /// Number of cycle-breaking temporaries that were created.
   unsigned TempsUsed = 0;
 };

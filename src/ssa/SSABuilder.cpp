@@ -209,6 +209,7 @@ SSABuildStats fcc::buildSSA(Function &F, const DominatorTree &DT,
   unsigned Generation = 0;
   SideBytes += PhiStamp.capacity() * sizeof(unsigned);
   std::vector<BasicBlock *> Work;
+  std::vector<Operand> PhiOps;
   auto Place = [&](unsigned VarId, auto LiveAt) {
     if (DefBlocks[VarId].empty())
       return; // Used but never defined: dead by strictness.
@@ -222,9 +223,8 @@ SSABuildStats fcc::buildSSA(Function &F, const DominatorTree &DT,
         if (PhiStamp[Frontier->id()] == Generation || !LiveAt(Frontier))
           continue;
         PhiStamp[Frontier->id()] = Generation;
-        std::vector<Operand> Ops(Frontier->getNumPreds(), Operand::var(V));
-        Frontier->addPhi(
-            std::make_unique<Instruction>(Opcode::Phi, V, std::move(Ops)));
+        PhiOps.assign(Frontier->getNumPreds(), Operand::var(V));
+        Frontier->addPhi(F.makeInstruction(Opcode::Phi, V, PhiOps));
         ++Stats.PhisInserted;
         Work.push_back(Frontier);
       }
@@ -300,9 +300,9 @@ bool fcc::verifySSAForm(const Function &F, const DominatorTree &DT,
     if (Def->isPhi())
       return true; // Phi defs precede the whole body.
     for (const auto &I : UseBlock->insts()) {
-      if (I.get() == Def)
+      if (I == Def)
         return true; // Def first.
-      if (I.get() == UseInst)
+      if (I == UseInst)
         return false; // Use first.
     }
     assert(false && "use not found in its own block");
@@ -336,7 +336,7 @@ bool fcc::verifySSAForm(const Function &F, const DominatorTree &DT,
     for (const auto &I : B->insts()) {
       bool Ok = true;
       I->forEachUsedVar([&](Variable *V) {
-        if (Ok && !DefDominatesUse(V, B.get(), I.get())) {
+        if (Ok && !DefDominatesUse(V, B.get(), I)) {
           Error = "use of '" + V->name() + "' in block '" + B->name() +
                   "' is not dominated by its definition";
           Ok = false;

@@ -35,12 +35,12 @@ DestructionStats fcc::destroySSAStandard(Function &F) {
                                                     TempCounter);
     Stats.CopiesInserted += static_cast<unsigned>(Seq.Insts.size());
     Stats.TempsUsed += Seq.TempsUsed;
-    for (auto &I : Seq.Insts)
-      Pred->insertBeforeTerminator(std::move(I));
+    for (Instruction *I : Seq.Insts)
+      Pred->insertBeforeTerminator(I);
   }
 
   for (const auto &B : F.blocks())
-    B->takePhis();
+    B->erasePhisIf([](const Instruction &) { return true; });
 
   return Stats;
 }

@@ -7,7 +7,14 @@
 /// a handful of ids, per-block caches, forest scratch. Allocating them from
 /// a bump pointer and freeing them wholesale with reset() removes the
 /// per-container malloc/free traffic, and reset() retains the chunks so one
-/// arena serves every round/function a pass compiles.
+/// arena serves every round/function a pass compiles. An arena that starts
+/// small and doubles its chunks up to a cap (the IR pool each Function owns)
+/// costs a small function a few hundred bytes and a large one a logarithmic
+/// number of mallocs.
+///
+/// Under AddressSanitizer, clients may poison memory they have given up
+/// (an erased instruction); the arena unpoisons every chunk before it hands
+/// the bytes out again or returns them to the system.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +28,16 @@
 #include <new>
 #include <type_traits>
 
+#if defined(__has_include)
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#endif
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#define ASAN_UNPOISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#endif
+
 namespace fcc {
 
 /// Chunked bump allocator. Allocations never free individually; reset()
@@ -29,8 +46,13 @@ class Arena {
 public:
   static constexpr size_t DefaultChunkBytes = size_t(64) << 10;
 
-  explicit Arena(size_t ChunkBytes = DefaultChunkBytes)
-      : ChunkBytes(ChunkBytes) {
+  /// Chunks of \p ChunkBytes each; with \p MaxChunkBytes above that, each
+  /// fresh chunk doubles the next one's size until it reaches the cap.
+  explicit Arena(size_t ChunkBytes = DefaultChunkBytes,
+                 size_t MaxChunkBytes = 0)
+      : ChunkBytes(ChunkBytes),
+        MaxChunkBytes(MaxChunkBytes > ChunkBytes ? MaxChunkBytes
+                                                 : ChunkBytes) {
     assert(ChunkBytes >= sizeof(Chunk) + MaxAlign && "chunk too small");
   }
 
@@ -40,6 +62,7 @@ public:
   ~Arena() {
     for (Chunk *C = Chunks; C;) {
       Chunk *Next = C->Next;
+      unpoison(C);
       std::free(C);
       C = Next;
     }
@@ -70,6 +93,8 @@ public:
   /// Rewinds to empty. Chunks are retained: the next fill pattern reuses
   /// them without touching malloc.
   void reset() {
+    for (Chunk *C = Chunks; C; C = C->Next)
+      unpoison(C);
     Used = 0;
     Current = Chunks;
     if (Current) {
@@ -94,6 +119,11 @@ private:
     uintptr_t Begin = 0;
     uintptr_t End = 0;
   };
+
+  static void unpoison([[maybe_unused]] Chunk *C) {
+    ASAN_UNPOISON_MEMORY_REGION(reinterpret_cast<void *>(C->Begin),
+                                C->End - C->Begin);
+  }
 
   void refill(size_t AtLeast) {
     // Advance to an already-reserved chunk when one is big enough (after a
@@ -129,9 +159,13 @@ private:
     Cursor = C->Begin;
     End = C->End;
     Reserved += Total;
+    if (ChunkBytes < MaxChunkBytes)
+      ChunkBytes = ChunkBytes * 2 < MaxChunkBytes ? ChunkBytes * 2
+                                                  : MaxChunkBytes;
   }
 
-  size_t ChunkBytes;
+  size_t ChunkBytes; ///< Size of the next fresh chunk.
+  size_t MaxChunkBytes;
   Chunk *Chunks = nullptr;  ///< All chunks, in reservation order.
   Chunk *Current = nullptr; ///< Chunk the cursor points into.
   uintptr_t Cursor = 0;

@@ -48,8 +48,7 @@ public:
       append(Opcode::Add, Sum, {Operand::var(Acc), Operand::var(pick())});
       Acc = Sum;
     }
-    Cur->append(std::make_unique<Instruction>(
-        Opcode::Ret, nullptr, std::vector<Operand>{Operand::var(Acc)}));
+    append(Opcode::Ret, nullptr, {Operand::var(Acc)});
 
     F->recomputePreds();
     return F;
@@ -70,11 +69,10 @@ private:
     return Operand::var(pick());
   }
 
-  Instruction *append(Opcode Op, Variable *Def, std::vector<Operand> Ops,
-                      std::vector<BasicBlock *> Succs = {}) {
-    return Cur->append(
-        std::make_unique<Instruction>(Op, Def, std::move(Ops),
-                                      std::move(Succs)));
+  Instruction *append(Opcode Op, Variable *Def,
+                      std::initializer_list<Operand> Ops,
+                      std::initializer_list<BasicBlock *> Succs = {}) {
+    return Cur->append(F->makeInstruction(Op, Def, Ops, Succs));
   }
 
   void emitConst(Variable *Def, int64_t Value) {

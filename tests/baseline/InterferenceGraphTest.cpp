@@ -87,7 +87,7 @@ TEST(InterferenceGraphTest, RestrictedGraphAgreesOnItsUniverse) {
   std::vector<Variable *> Subset;
   for (const auto &V : F.variables())
     if (V->id() % 2 == 0)
-      Subset.push_back(V.get());
+      Subset.push_back(V);
   InterferenceGraph::BuildOptions Opts;
   Opts.Restrict = &Subset;
   InterferenceGraph Small(F, LV, Opts);
@@ -128,14 +128,14 @@ TEST(InterferenceGraphTest, AdjacencyListsMatchTheMatrix) {
   Opts.BuildAdjacencyLists = true;
   InterferenceGraph G(F, LV, Opts);
   for (const auto &A : F.variables()) {
-    unsigned FromLists = G.degree(A.get());
+    unsigned FromLists = G.degree(A);
     unsigned FromMatrix = 0;
     for (const auto &B : F.variables())
-      if (A.get() != B.get() && G.interfere(A.get(), B.get()))
+      if (A != B && G.interfere(A, B))
         ++FromMatrix;
     EXPECT_EQ(FromLists, FromMatrix) << A->name();
-    for (unsigned N : G.neighbors(A.get()))
-      EXPECT_TRUE(G.interfere(A.get(), G.nodeVariable(N)));
+    for (unsigned N : G.neighbors(A))
+      EXPECT_TRUE(G.interfere(A, G.nodeVariable(N)));
   }
 }
 
@@ -185,7 +185,7 @@ TEST(InterferenceGraphTest, EdgeCountMatchesPairScan) {
   size_t Pairs = 0;
   for (const auto &A : B.F->variables())
     for (const auto &C : B.F->variables())
-      if (A->id() < C->id() && B.G->interfere(A.get(), C.get()))
+      if (A->id() < C->id() && B.G->interfere(A, C))
         ++Pairs;
   EXPECT_EQ(B.G->edgeCount(), Pairs);
 }

@@ -145,7 +145,7 @@ TEST(FastCoalescerTest, LoopCarriedNamesShareOneRep) {
 TEST(FastCoalescerTest, RepIsIdempotentAndConsistent) {
   PartitionedProgram P(testprogs::NestedLoops);
   for (const auto &V : P.F->variables()) {
-    Variable *R = P.Coalescer->rep(V.get());
+    Variable *R = P.Coalescer->rep(V);
     EXPECT_EQ(P.Coalescer->rep(R), R) << "rep must be a fixed point";
   }
 }

@@ -1,0 +1,118 @@
+//===- tests/ir/AllocationCountTest.cpp -----------------------------------===//
+//
+// Pins the IR's allocation behavior: instructions, their operands and
+// variables come from the function's pool, so parsing and SSA construction
+// make a handful of heap allocations per function, not one or more per
+// instruction or name. This binary replaces the global operator new and
+// delete to count calls, so it links no other test.
+//
+//===----------------------------------------------------------------------===//
+
+#include "../common/ShapeSources.h"
+#include "analysis/DominatorTree.h"
+#include "ir/Function.h"
+#include "ir/IRParser.h"
+#include "ir/Module.h"
+#include "ssa/SSABuilder.h"
+
+#include <atomic>
+#include <cstdlib>
+#include <gtest/gtest.h>
+#include <new>
+
+namespace {
+
+std::atomic<unsigned long> Allocations{0};
+
+void *countedAlloc(std::size_t Bytes) {
+  Allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Bytes ? Bytes : 1);
+}
+
+void *countedAlignedAlloc(std::size_t Bytes, std::align_val_t Align) {
+  Allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t A = static_cast<std::size_t>(Align);
+  std::size_t Rounded = (Bytes + A - 1) / A * A;
+  return std::aligned_alloc(A, Rounded ? Rounded : A);
+}
+
+} // namespace
+
+void *operator new(std::size_t Bytes) {
+  if (void *P = countedAlloc(Bytes))
+    return P;
+  throw std::bad_alloc();
+}
+void *operator new[](std::size_t Bytes) { return operator new(Bytes); }
+void *operator new(std::size_t Bytes, const std::nothrow_t &) noexcept {
+  return countedAlloc(Bytes);
+}
+void *operator new[](std::size_t Bytes, const std::nothrow_t &) noexcept {
+  return countedAlloc(Bytes);
+}
+void *operator new(std::size_t Bytes, std::align_val_t Align) {
+  if (void *P = countedAlignedAlloc(Bytes, Align))
+    return P;
+  throw std::bad_alloc();
+}
+void *operator new[](std::size_t Bytes, std::align_val_t Align) {
+  return operator new(Bytes, Align);
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete[](void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
+
+using namespace fcc;
+
+namespace {
+
+/// Heap allocations \p Fn makes.
+template <typename FnT> unsigned long allocationsOf(FnT Fn) {
+  unsigned long Before = Allocations.load(std::memory_order_relaxed);
+  Fn();
+  return Allocations.load(std::memory_order_relaxed) - Before;
+}
+
+TEST(AllocationCountTest, ParsingAllocatesLessThanOncePerFourInstructions) {
+  const std::string Text = testprogs::fatBlockSource(2000, 5);
+  std::string Error;
+  std::unique_ptr<Module> M;
+  unsigned long Allocs = allocationsOf([&] { M = parseModule(Text, Error); });
+  ASSERT_TRUE(M) << Error;
+  unsigned Insts = M->functions()[0]->instructionCount();
+  ASSERT_GT(Insts, 2000u);
+  EXPECT_LT(static_cast<double>(Allocs) / Insts, 0.25)
+      << Allocs << " allocations for " << Insts << " instructions";
+}
+
+TEST(AllocationCountTest, SSAConstructionAllocatesLittlePerNameItCreates) {
+  std::unique_ptr<Module> M =
+      parseSingleFunctionOrDie(testprogs::fatBlockSource(2000, 5));
+  Function &F = *M->functions()[0];
+  DominatorTree DT(F);
+  SSABuildOptions Opts;
+  Opts.FoldCopies = true;
+  unsigned Before = F.numVariables();
+  unsigned long Allocs = allocationsOf([&] { buildSSA(F, DT, Opts); });
+  unsigned Names = F.numVariables() - Before;
+  ASSERT_GT(Names, 1000u);
+  EXPECT_LE(static_cast<double>(Allocs) / Names, 0.4)
+      << Allocs << " allocations for " << Names << " names";
+}
+
+} // namespace

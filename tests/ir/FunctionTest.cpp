@@ -4,6 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define FCC_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define FCC_TEST_ASAN 1
+#endif
+#endif
+#ifdef FCC_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 using namespace fcc;
 
 TEST(FunctionTest, VariableIdsAreDense) {
@@ -65,19 +76,12 @@ TEST(FunctionTest, RecomputePredsFollowsTerminators) {
   BasicBlock *R = F.makeBlock("right");
   BasicBlock *J = F.makeBlock("join");
   Variable *C = F.makeVariable("c");
-  E->append(std::make_unique<Instruction>(Opcode::Const, C,
-                                          std::vector<Operand>{Operand::imm(1)}));
-  E->append(std::make_unique<Instruction>(
-      Opcode::CondBr, nullptr, std::vector<Operand>{Operand::var(C)},
-      std::vector<BasicBlock *>{L, R}));
-  L->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                          std::vector<Operand>{},
-                                          std::vector<BasicBlock *>{J}));
-  R->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                          std::vector<Operand>{},
-                                          std::vector<BasicBlock *>{J}));
-  J->append(std::make_unique<Instruction>(Opcode::Ret, nullptr,
-                                          std::vector<Operand>{Operand::imm(0)}));
+  E->append(F.makeInstruction(Opcode::Const, C, {Operand::imm(1)}));
+  E->append(F.makeInstruction(Opcode::CondBr, nullptr, {Operand::var(C)}, {L,
+                              R}));
+  L->append(F.makeInstruction(Opcode::Br, nullptr, {}, {J}));
+  R->append(F.makeInstruction(Opcode::Br, nullptr, {}, {J}));
+  J->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::imm(0)}));
   F.recomputePreds();
   EXPECT_EQ(J->getNumPreds(), 2u);
   EXPECT_EQ(J->predIndex(L), 0u);
@@ -90,12 +94,9 @@ TEST(FunctionTest, CountsCoverPhisAndCopies) {
   BasicBlock *E = F.makeBlock("entry");
   Variable *A = F.makeVariable("a");
   Variable *B = F.makeVariable("b");
-  E->append(std::make_unique<Instruction>(Opcode::Const, A,
-                                          std::vector<Operand>{Operand::imm(3)}));
-  E->append(std::make_unique<Instruction>(Opcode::Copy, B,
-                                          std::vector<Operand>{Operand::var(A)}));
-  E->append(std::make_unique<Instruction>(Opcode::Ret, nullptr,
-                                          std::vector<Operand>{Operand::var(B)}));
+  E->append(F.makeInstruction(Opcode::Const, A, {Operand::imm(3)}));
+  E->append(F.makeInstruction(Opcode::Copy, B, {Operand::var(A)}));
+  E->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::var(B)}));
   EXPECT_EQ(F.instructionCount(), 3u);
   EXPECT_EQ(F.staticCopyCount(), 1u);
   EXPECT_EQ(F.phiCount(), 0u);
@@ -106,58 +107,55 @@ TEST(FunctionTest, BlockInsertionHelpers) {
   BasicBlock *E = F.makeBlock("entry");
   Variable *A = F.makeVariable("a");
   Variable *B = F.makeVariable("b");
-  E->append(std::make_unique<Instruction>(Opcode::Const, A,
-                                          std::vector<Operand>{Operand::imm(1)}));
-  E->append(std::make_unique<Instruction>(Opcode::Ret, nullptr,
-                                          std::vector<Operand>{Operand::var(A)}));
-  E->insertBeforeTerminator(std::make_unique<Instruction>(
-      Opcode::Copy, B, std::vector<Operand>{Operand::var(A)}));
+  E->append(F.makeInstruction(Opcode::Const, A, {Operand::imm(1)}));
+  E->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::var(A)}));
+  E->insertBeforeTerminator(F.makeInstruction(Opcode::Copy, B,
+                                              {Operand::var(A)}));
   ASSERT_EQ(E->insts().size(), 3u);
   EXPECT_TRUE(E->insts()[1]->isCopy());
   EXPECT_TRUE(E->insts()[2]->isTerminator());
 
   Variable *C = F.makeVariable("c");
-  E->insertAt(0, std::make_unique<Instruction>(
-                     Opcode::Const, C, std::vector<Operand>{Operand::imm(9)}));
+  E->insertAt(0, F.makeInstruction(Opcode::Const, C, {Operand::imm(9)}));
   EXPECT_EQ(E->insts()[0]->getDef(), C);
 }
 
-TEST(FunctionTest, TakePhisTransfersOwnership) {
+TEST(FunctionTest, TakeInstHandsTheInstructionBackForReinsertion) {
   Function F("f");
   BasicBlock *E = F.makeBlock("entry");
   BasicBlock *B = F.makeBlock("b");
   Variable *X = F.makeVariable("x");
-  E->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                          std::vector<Operand>{},
-                                          std::vector<BasicBlock *>{B}));
+  Instruction *Def = E->append(F.makeInstruction(Opcode::Const, X,
+                                                 {Operand::imm(0)}));
+  E->append(F.makeInstruction(Opcode::Br, nullptr, {}, {B}));
+  B->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::var(X)}));
   F.recomputePreds();
-  B->addPhi(std::make_unique<Instruction>(Opcode::Phi, X,
-                                          std::vector<Operand>{Operand::imm(0)}));
-  auto Phis = B->takePhis();
-  EXPECT_EQ(Phis.size(), 1u);
-  EXPECT_TRUE(B->phis().empty());
+  Instruction *Taken = E->takeInst(Def);
+  EXPECT_EQ(Taken, Def);
+  EXPECT_EQ(Taken->getParent(), nullptr);
+  EXPECT_EQ(E->size(), 1u);
+  B->insertBeforeTerminator(Taken);
+  EXPECT_EQ(B->insts()[0], Def);
+  EXPECT_EQ(Def->getParent(), B);
+  EXPECT_EQ(Def->getOperand(0).getImm(), 0);
 }
 
 TEST(FunctionTest, EraseInstsIfCompactsTheBodyInOnePass) {
   Function F("f");
   BasicBlock *E = F.makeBlock("entry");
   BasicBlock *B = F.makeBlock("b");
-  E->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                          std::vector<Operand>{},
-                                          std::vector<BasicBlock *>{B}));
+  E->append(F.makeInstruction(Opcode::Br, nullptr, {}, {B}));
   F.recomputePreds();
   Variable *P = F.makeVariable("p");
-  B->addPhi(std::make_unique<Instruction>(
-      Opcode::Phi, P, std::vector<Operand>{Operand::imm(0)}));
+  B->addPhi(F.makeInstruction(Opcode::Phi, P, {Operand::imm(0)}));
   std::vector<Variable *> Vars;
   for (unsigned I = 0; I != 6; ++I) {
     Vars.push_back(F.makeVariable("v" + std::to_string(I)));
-    B->append(std::make_unique<Instruction>(
-        I % 2 ? Opcode::Copy : Opcode::Const, Vars.back(),
-        std::vector<Operand>{I % 2 ? Operand::var(P) : Operand::imm(I)}));
+    B->append(F.makeInstruction(I % 2 ? Opcode::Copy : Opcode::Const,
+                                Vars.back(),
+                                {I % 2 ? Operand::var(P) : Operand::imm(I)}));
   }
-  B->append(std::make_unique<Instruction>(
-      Opcode::Ret, nullptr, std::vector<Operand>{Operand::var(P)}));
+  B->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::var(P)}));
 
   EXPECT_EQ(B->eraseInstsIf([](const Instruction &I) { return I.isCopy(); }),
             3u);
@@ -180,24 +178,20 @@ TEST(FunctionTest, InsertAroundSplicesBeforeAndAfterInOnePass) {
   std::vector<Variable *> Vars;
   for (unsigned I = 0; I != 3; ++I) {
     Vars.push_back(F.makeVariable("v" + std::to_string(I)));
-    B->append(std::make_unique<Instruction>(
-        Opcode::Const, Vars.back(), std::vector<Operand>{Operand::imm(I)}));
+    B->append(F.makeInstruction(Opcode::Const, Vars.back(), {Operand::imm(I)}));
   }
-  B->append(std::make_unique<Instruction>(
-      Opcode::Ret, nullptr, std::vector<Operand>{Operand::var(Vars[0])}));
+  B->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::var(Vars[0])}));
 
   // Wrap v1's def in a reload and a spill, and reload before the return.
   B->insertAround([&](Instruction &I, BasicBlock::InstList &Before,
                       BasicBlock::InstList &After) {
     if (I.getDef() != Vars[1] && !I.isTerminator())
       return;
-    Before.push_back(std::make_unique<Instruction>(
-        Opcode::Reload, F.makeVariable("r"),
-        std::vector<Operand>{Operand::imm(0)}));
+    Before.push_back(F.makeInstruction(Opcode::Reload, F.makeVariable("r"),
+                                       {Operand::imm(0)}));
     if (!I.isTerminator())
-      After.push_back(std::make_unique<Instruction>(
-          Opcode::Spill, nullptr,
-          std::vector<Operand>{Operand::var(Vars[1]), Operand::imm(0)}));
+      After.push_back(F.makeInstruction(
+          Opcode::Spill, nullptr, {Operand::var(Vars[1]), Operand::imm(0)}));
   });
   const Opcode Want[] = {Opcode::Const, Opcode::Reload, Opcode::Const,
                          Opcode::Spill, Opcode::Const,  Opcode::Reload,
@@ -215,18 +209,14 @@ TEST(FunctionTest, ErasePhisIfLeavesTheBodyAlone) {
   Function F("f");
   BasicBlock *E = F.makeBlock("entry");
   BasicBlock *B = F.makeBlock("b");
-  E->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                          std::vector<Operand>{},
-                                          std::vector<BasicBlock *>{B}));
+  E->append(F.makeInstruction(Opcode::Br, nullptr, {}, {B}));
   F.recomputePreds();
   std::vector<Variable *> Vars;
   for (unsigned I = 0; I != 5; ++I) {
     Vars.push_back(F.makeVariable("x" + std::to_string(I)));
-    B->addPhi(std::make_unique<Instruction>(
-        Opcode::Phi, Vars.back(), std::vector<Operand>{Operand::imm(I)}));
+    B->addPhi(F.makeInstruction(Opcode::Phi, Vars.back(), {Operand::imm(I)}));
   }
-  B->append(std::make_unique<Instruction>(
-      Opcode::Ret, nullptr, std::vector<Operand>{Operand::var(Vars[0])}));
+  B->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::var(Vars[0])}));
 
   EXPECT_EQ(B->erasePhisIf([&](const Instruction &Phi) {
               return Phi.getDef() == Vars[1] || Phi.getDef() == Vars[4];
@@ -240,4 +230,56 @@ TEST(FunctionTest, ErasePhisIfLeavesTheBodyAlone) {
   }
   ASSERT_EQ(B->size(), 1u) << "the body is a separate list";
   EXPECT_TRUE(B->hasTerminator());
+}
+
+// Erased instructions stay in the function's pool, so only poisoning keeps
+// a stale pointer to one visible to AddressSanitizer. Every erase path is
+// covered: the batch erases, eraseInst, and deleting unreachable blocks.
+TEST(FunctionTest, ErasedInstructionsArePoisonedUnderAddressSanitizer) {
+#ifndef FCC_TEST_ASAN
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  Function F("f");
+  BasicBlock *E = F.makeBlock("entry");
+  BasicBlock *J = F.makeBlock("join");
+  BasicBlock *Dead = F.makeBlock("dead");
+  Variable *X = F.makeVariable("x");
+  Variable *Y = F.makeVariable("y");
+  Variable *Z = F.makeVariable("z");
+  Instruction *Kept =
+      E->append(F.makeInstruction(Opcode::Const, X, {Operand::imm(2)}));
+  Instruction *Copy =
+      E->append(F.makeInstruction(Opcode::Copy, Y, {Operand::var(X)}));
+  Instruction *Konst =
+      E->append(F.makeInstruction(Opcode::Const, Z, {Operand::imm(1)}));
+  E->append(F.makeInstruction(Opcode::Br, nullptr, {}, {J}));
+  Instruction *DeadDef =
+      Dead->append(F.makeInstruction(Opcode::Const, Y, {Operand::imm(3)}));
+  Instruction *DeadBr =
+      Dead->append(F.makeInstruction(Opcode::Br, nullptr, {}, {J}));
+  F.recomputePreds();
+  Instruction *Phi = J->addPhi(F.makeInstruction(
+      Opcode::Phi, Y, {Operand::var(X), Operand::var(Y)}));
+  J->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::var(Y)}));
+  const Operand *CopyOps = &Copy->getOperand(0);
+  const Operand *PhiOps = &Phi->getOperand(0);
+
+  EXPECT_EQ(E->eraseInstsIf([&](const Instruction &I) { return &I == Copy; }),
+            1u);
+  E->eraseInst(Konst);
+  EXPECT_EQ(F.removeUnreachableBlocks(), 1u);
+  EXPECT_EQ(J->erasePhisIf([](const Instruction &) { return true; }), 1u);
+
+  for (const void *Erased : {static_cast<const void *>(Copy),
+                             static_cast<const void *>(Konst),
+                             static_cast<const void *>(DeadDef),
+                             static_cast<const void *>(DeadBr),
+                             static_cast<const void *>(Phi),
+                             static_cast<const void *>(CopyOps),
+                             static_cast<const void *>(PhiOps)})
+    EXPECT_TRUE(__asan_address_is_poisoned(Erased)) << Erased;
+  EXPECT_FALSE(__asan_address_is_poisoned(Kept));
+  EXPECT_EQ(Kept->getOperand(0).getImm(), 2);
+  EXPECT_EQ(E->size(), 2u);
+#endif
 }

@@ -18,8 +18,8 @@ protected:
 };
 
 TEST_F(InstructionTest, AddHasDefAndOperands) {
-  Instruction I(Opcode::Add, C,
-                {Operand::var(A), Operand::var(B)});
+  Instruction &I = *F.makeInstruction(Opcode::Add, C, {Operand::var(A),
+                                      Operand::var(B)});
   EXPECT_EQ(I.getDef(), C);
   EXPECT_EQ(I.getNumOperands(), 2u);
   EXPECT_TRUE(I.uses(A));
@@ -31,13 +31,14 @@ TEST_F(InstructionTest, AddHasDefAndOperands) {
 }
 
 TEST_F(InstructionTest, CopyIsACopy) {
-  Instruction I(Opcode::Copy, B, {Operand::var(A)});
+  Instruction &I = *F.makeInstruction(Opcode::Copy, B, {Operand::var(A)});
   EXPECT_TRUE(I.isCopy());
   EXPECT_TRUE(I.uses(A));
 }
 
 TEST_F(InstructionTest, ImmediateOperandsAreNotUses) {
-  Instruction I(Opcode::Add, C, {Operand::var(A), Operand::imm(5)});
+  Instruction &I = *F.makeInstruction(Opcode::Add, C, {Operand::var(A),
+                                      Operand::imm(5)});
   EXPECT_TRUE(I.uses(A));
   unsigned VarUses = 0;
   I.forEachUsedVar([&](Variable *) { ++VarUses; });
@@ -46,7 +47,8 @@ TEST_F(InstructionTest, ImmediateOperandsAreNotUses) {
 }
 
 TEST_F(InstructionTest, ForEachUseCanRetarget) {
-  Instruction I(Opcode::Add, C, {Operand::var(A), Operand::var(A)});
+  Instruction &I = *F.makeInstruction(Opcode::Add, C, {Operand::var(A),
+                                      Operand::var(A)});
   I.forEachUse([&](Operand &O) { O.setVar(B); });
   EXPECT_FALSE(I.uses(A));
   EXPECT_TRUE(I.uses(B));
@@ -55,7 +57,8 @@ TEST_F(InstructionTest, ForEachUseCanRetarget) {
 TEST_F(InstructionTest, TerminatorSuccessors) {
   BasicBlock *B1 = F.makeBlock("b1");
   BasicBlock *B2 = F.makeBlock("b2");
-  Instruction I(Opcode::CondBr, nullptr, {Operand::var(A)}, {B1, B2});
+  Instruction &I = *F.makeInstruction(Opcode::CondBr, nullptr,
+                                      {Operand::var(A)}, {B1, B2});
   EXPECT_TRUE(I.isTerminator());
   EXPECT_EQ(I.getNumSuccessors(), 2u);
   EXPECT_EQ(I.getSuccessor(0), B1);
@@ -64,7 +67,9 @@ TEST_F(InstructionTest, TerminatorSuccessors) {
 }
 
 TEST_F(InstructionTest, PhiOperandEditing) {
-  Instruction I(Opcode::Phi, C, {Operand::var(A), Operand::var(B)});
+  // A phi grows in its function's pool, so it must sit in a block.
+  Instruction &I = *F.makeBlock("j")->addPhi(
+      F.makeInstruction(Opcode::Phi, C, {Operand::var(A), Operand::var(B)}));
   EXPECT_TRUE(I.isPhi());
   I.addPhiOperand(Operand::var(A));
   EXPECT_EQ(I.getNumOperands(), 3u);
@@ -73,8 +78,26 @@ TEST_F(InstructionTest, PhiOperandEditing) {
   EXPECT_EQ(I.getOperand(1).getVar(), A);
 }
 
+TEST_F(InstructionTest, PhiOperandsSurviveGrowth) {
+  Instruction &I = *F.makeBlock("j")->addPhi(
+      F.makeInstruction(Opcode::Phi, C, {Operand::imm(0)}));
+  for (int64_t V = 1; V != 40; ++V)
+    I.addPhiOperand(V % 3 ? Operand::imm(V) : Operand::var(A));
+  ASSERT_EQ(I.getNumOperands(), 40u);
+  for (unsigned Slot = 0; Slot != 40; ++Slot) {
+    if (Slot % 3 == 0 && Slot != 0)
+      EXPECT_EQ(I.getOperand(Slot).getVar(), A) << Slot;
+    else
+      EXPECT_EQ(I.getOperand(Slot).getImm(), int64_t(Slot)) << Slot;
+  }
+  I.removePhiOperand(0);
+  EXPECT_EQ(I.getNumOperands(), 39u);
+  EXPECT_EQ(I.getOperand(0).getImm(), 1);
+}
+
 TEST_F(InstructionTest, StoreHasNoDef) {
-  Instruction I(Opcode::Store, nullptr, {Operand::imm(0), Operand::var(A)});
+  Instruction &I = *F.makeInstruction(Opcode::Store, nullptr, {Operand::imm(0),
+                                      Operand::var(A)});
   EXPECT_EQ(I.getDef(), nullptr);
   EXPECT_TRUE(I.uses(A));
 }

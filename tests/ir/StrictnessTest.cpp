@@ -197,7 +197,7 @@ join:
 std::vector<const Variable *> usedBeforeDefinedOnSomePath(const Function &F) {
   std::vector<const Variable *> Result;
   for (const auto &Var : F.variables()) {
-    const Variable *V = Var.get();
+    const Variable *V = Var;
     if (F.isParam(V))
       continue;
     std::vector<bool> Entered(F.numBlocks(), false);
@@ -241,7 +241,7 @@ void deleteDefinitions(Function &F, unsigned Count, SplitMix64 &Rng) {
     for (const auto &B : F.blocks())
       for (const auto &I : B->insts())
         if (I->getDef())
-          Defs.push_back(I.get());
+          Defs.push_back(I);
     if (Defs.empty())
       return;
     Instruction *Victim = Defs[Rng.nextBelow(Defs.size())];

@@ -40,9 +40,7 @@ TEST(VerifierTest, DetectsMissingTerminator) {
 TEST(VerifierTest, DetectsEntryWithPredecessors) {
   Function F("f");
   BasicBlock *E = F.makeBlock("entry");
-  E->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                          std::vector<Operand>{},
-                                          std::vector<BasicBlock *>{E}));
+  E->append(F.makeInstruction(Opcode::Br, nullptr, {}, {E}));
   F.recomputePreds();
   std::string Error;
   EXPECT_FALSE(verifyFunction(F, Error));
@@ -53,10 +51,8 @@ TEST(VerifierTest, DetectsUnreachableBlock) {
   Function F("f");
   BasicBlock *E = F.makeBlock("entry");
   BasicBlock *Dead = F.makeBlock("dead");
-  E->append(std::make_unique<Instruction>(Opcode::Ret, nullptr,
-                                          std::vector<Operand>{Operand::imm(0)}));
-  Dead->append(std::make_unique<Instruction>(
-      Opcode::Ret, nullptr, std::vector<Operand>{Operand::imm(1)}));
+  E->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::imm(0)}));
+  Dead->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::imm(1)}));
   F.recomputePreds();
   std::string Error;
   EXPECT_FALSE(verifyFunction(F, Error));
@@ -67,11 +63,8 @@ TEST(VerifierTest, DetectsStalePredecessorList) {
   Function F("f");
   BasicBlock *E = F.makeBlock("entry");
   BasicBlock *B = F.makeBlock("b");
-  E->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                          std::vector<Operand>{},
-                                          std::vector<BasicBlock *>{B}));
-  B->append(std::make_unique<Instruction>(Opcode::Ret, nullptr,
-                                          std::vector<Operand>{Operand::imm(0)}));
+  E->append(F.makeInstruction(Opcode::Br, nullptr, {}, {B}));
+  B->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::imm(0)}));
   // recomputePreds() deliberately not called: B's pred list is empty.
   std::string Error;
   EXPECT_FALSE(verifyFunction(F, Error));
@@ -83,8 +76,7 @@ TEST(VerifierTest, DetectsForeignVariable) {
   Function Other("g");
   Variable *Foreign = Other.makeVariable("x");
   BasicBlock *E = F.makeBlock("entry");
-  E->append(std::make_unique<Instruction>(
-      Opcode::Ret, nullptr, std::vector<Operand>{Operand::var(Foreign)}));
+  E->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::var(Foreign)}));
   F.recomputePreds();
   std::string Error;
   EXPECT_FALSE(verifyFunction(F, Error));
@@ -96,15 +88,12 @@ TEST(VerifierTest, DetectsPhiOperandCountMismatch) {
   BasicBlock *E = F.makeBlock("entry");
   BasicBlock *B = F.makeBlock("b");
   Variable *X = F.makeVariable("x");
-  E->append(std::make_unique<Instruction>(Opcode::Br, nullptr,
-                                          std::vector<Operand>{},
-                                          std::vector<BasicBlock *>{B}));
-  B->append(std::make_unique<Instruction>(Opcode::Ret, nullptr,
-                                          std::vector<Operand>{Operand::imm(0)}));
+  E->append(F.makeInstruction(Opcode::Br, nullptr, {}, {B}));
+  B->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::imm(0)}));
   F.recomputePreds();
   // One pred, but two phi operands.
-  B->addPhi(std::make_unique<Instruction>(
-      Opcode::Phi, X, std::vector<Operand>{Operand::imm(1), Operand::imm(2)}));
+  B->addPhi(F.makeInstruction(Opcode::Phi, X, {Operand::imm(1),
+                              Operand::imm(2)}));
   std::string Error;
   EXPECT_FALSE(verifyFunction(F, Error));
   EXPECT_NE(Error.find("phi operand count"), std::string::npos) << Error;

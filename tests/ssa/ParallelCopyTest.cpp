@@ -22,7 +22,7 @@ void checkAgainstParallelSemantics(const std::vector<CopyTask> &Tasks,
   // read before being written, which the walk below checks).
   int64_t Next = 100;
   for (const auto &V : F.variables())
-    Regs[V.get()] = Next++;
+    Regs[V] = Next++;
 
   std::map<const Variable *, int64_t> Expected = Regs;
   for (const CopyTask &T : Tasks)

@@ -90,8 +90,7 @@ SSABuildStats referenceBuildSSA(Function &F, const DominatorTree &DT,
           continue;
         PhiStamp[Frontier->id()] = Generation;
         std::vector<Operand> Ops(Frontier->getNumPreds(), Operand::var(V));
-        Frontier->addPhi(
-            std::make_unique<Instruction>(Opcode::Phi, V, std::move(Ops)));
+        Frontier->addPhi(F.makeInstruction(Opcode::Phi, V, Ops));
         ++Stats.PhisInserted;
         Work.push_back(Frontier);
       }
