@@ -90,9 +90,6 @@ int main() {
   FastCoalescerOptions LazyChildEvict = Lazy;
   LazyChildEvict.CostBasedVictims = false;
 
-  FastCoalescerOptions LazyUnweighted = Lazy;
-  LazyUnweighted.DepthWeightedCosts = false;
-
   const Config Configs[] = {
       {"eager(def.)", SSAFlavor::Pruned, Default},
       {"eager/semi", SSAFlavor::SemiPruned, Default},
@@ -101,7 +98,6 @@ int main() {
       {"lazy(paper)", SSAFlavor::Pruned, Lazy},
       {"lazy-nofilt", SSAFlavor::Pruned, LazyNoFilters},
       {"lazy-child", SSAFlavor::Pruned, LazyChildEvict},
-      {"lazy-unwgt", SSAFlavor::Pruned, LazyUnweighted},
   };
 
   for (const char *H : {"Config", "Copies", "Time(us)", "Phis", "Evicts",

@@ -7,7 +7,6 @@
 #include "ir/Function.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace fcc;
 
@@ -15,36 +14,27 @@ LoopInfo::LoopInfo(const DominatorTree &DT) {
   const Function &F = DT.function();
   Depth.assign(F.numBlocks(), 0);
 
-  // Group back-edge sources by header so each header yields one loop. The
-  // comparator is by block id: iteration order must not depend on pointer
-  // values.
-  auto ById = [](const BasicBlock *A, const BasicBlock *B) {
-    return A->id() < B->id();
-  };
-  std::map<BasicBlock *, std::vector<BasicBlock *>, decltype(ById)> Latches(
-      ById);
-  for (const auto &B : F.blocks())
-    for (BasicBlock *S : B->terminator()->successors())
-      if (DT.dominates(S, B.get()))
-        Latches[S].push_back(B.get());
-
+  // Headers in block-id order; a header's latches are its back-edge
+  // predecessors, so back edges sharing a header yield one loop.
   std::vector<unsigned> Stamp(F.numBlocks(), 0);
-  unsigned Generation = 0;
-  for (auto &[Header, Tails] : Latches) {
+  std::vector<BasicBlock *> Work;
+  for (const auto &H : F.blocks()) {
+    Work.clear();
+    for (BasicBlock *P : H->preds())
+      if (DT.dominates(H.get(), P))
+        Work.push_back(P);
+    if (Work.empty())
+      continue;
     Loop L;
-    L.Header = Header;
-    ++Generation;
-    auto InLoopTest = [&](const BasicBlock *B) {
-      return Stamp[B->id()] == Generation;
-    };
-    Stamp[Header->id()] = Generation;
-    L.Blocks.push_back(Header);
+    L.Header = H.get();
+    unsigned Generation = H->id() + 1;
+    Stamp[H->id()] = Generation;
+    L.Blocks.push_back(H.get());
     // Backward reachability from every latch, stopping at the header.
-    std::vector<BasicBlock *> Work(Tails.begin(), Tails.end());
     while (!Work.empty()) {
       BasicBlock *B = Work.back();
       Work.pop_back();
-      if (InLoopTest(B))
+      if (Stamp[B->id()] == Generation)
         continue;
       Stamp[B->id()] = Generation;
       L.Blocks.push_back(B);

@@ -4,7 +4,6 @@
 
 #include "analysis/CFGUtils.h"
 #include "analysis/DominatorTree.h"
-#include "analysis/LoopInfo.h"
 #include "analysis/Liveness.h"
 #include "coalesce/DominanceForest.h"
 #include "ir/BasicBlock.h"
@@ -30,27 +29,14 @@ FastCoalescer::FastCoalescer(Function &F, const DominatorTree &DT,
   PhiDegree.assign(NumVars, 0);
   DefBlock.assign(NumVars, nullptr);
   DefPos.assign(NumVars, 0);
+  AcceptedStamp.assign(F.numBlocks(), 0);
 
   for (Variable *P : F.params()) {
     DefBlock[P->id()] = F.entry();
     DefPos[P->id()] = 0;
   }
 
-  // Eviction costs: one pending copy per phi connection, optionally
-  // weighted by the loop depth of the edge the copy would land on.
-  std::unique_ptr<LoopInfo> LI;
-  if (Opts.DepthWeightedCosts)
-    LI = std::make_unique<LoopInfo>(DT);
-  auto EdgeWeight = [&](const BasicBlock *Pred) -> uint64_t {
-    if (!LI)
-      return 1;
-    unsigned Depth = std::min(LI->loopDepth(Pred), 12u);
-    uint64_t W = 1;
-    for (unsigned D = 0; D != Depth; ++D)
-      W *= 10;
-    return W;
-  };
-
+  // Eviction costs (Figure 2): one pending copy per phi connection.
   for (const auto &B : F.blocks()) {
     assert((B->phis().empty() || B->getNumPreds() >= 2) &&
            "single-predecessor phis unsupported: edge copies placed at the "
@@ -60,13 +46,8 @@ FastCoalescer::FastCoalescer(Function &F, const DominatorTree &DT,
       assert(!DefBlock[Def->id()] && "multiple defs: not SSA");
       DefBlock[Def->id()] = B.get();
       DefPos[Def->id()] = 0;
-      for (unsigned Idx = 0, E = Phi->getNumOperands(); Idx != E; ++Idx) {
-        uint64_t W = EdgeWeight(B->preds()[Idx]);
-        PhiDegree[Def->id()] += W;
-        const Operand &O = Phi->getOperand(Idx);
-        if (O.isVar())
-          PhiDegree[O.getVar()->id()] += W;
-      }
+      PhiDegree[Def->id()] += Phi->getNumOperands();
+      Phi->forEachUsedVar([&](Variable *V) { ++PhiDegree[V->id()]; });
     }
     unsigned Pos = 1;
     for (const auto &I : B->insts()) {
@@ -314,8 +295,9 @@ void FastCoalescer::buildInitialSets() {
       Variable *P = Phi->getDef();
       if (!Active[P->id()])
         continue; // Frozen in an earlier round.
-      // Filter 5 state: defining blocks of this phi's accepted arguments.
-      SeenDefBlocks.clear();
+      // Filter 5 state: blocks stamped with this phi's stamp define one of
+      // its accepted arguments.
+      ++PhiStamp;
 
       for (unsigned Idx = 0, E = Phi->getNumOperands(); Idx != E; ++Idx) {
         const Operand &O = Phi->getOperand(Idx);
@@ -344,8 +326,7 @@ void FastCoalescer::buildInitialSets() {
                      ClaimedBy.lookup(Sets.find(A->id()));
                  Claimant && *Claimant != Phi)
           RejectedBy = 4; // Another phi of this block claimed a's set.
-        else if (std::find(SeenDefBlocks.begin(), SeenDefBlocks.end(),
-                           ADef) != SeenDefBlocks.end())
+        else if (AcceptedStamp[ADef->id()] == PhiStamp)
           RejectedBy = 5; // Two arguments of this phi share a block.
 
         if (RejectedBy != 0 && Opts.UseFilters) {
@@ -394,7 +375,7 @@ void FastCoalescer::buildInitialSets() {
           MembersByRoot[NewRoot] = {Into, KeepSize + LoseSize};
           MembersByRoot[OldRoot] = {};
         }
-        SeenDefBlocks.push_back(ADef);
+        AcceptedStamp[ADef->id()] = PhiStamp;
       }
       ClaimedBy[Sets.find(P->id())] = Phi;
     }
@@ -511,66 +492,28 @@ void FastCoalescer::walkForests() {
   }
 }
 
-/// Phase 4 (Section 3.4): backward in-block scans for pairs the boundary
-/// information could not decide.
+/// Phase 4 (Section 3.4): in-block tests for pairs the boundary information
+/// could not decide.
 void FastCoalescer::resolveLocalInterference() {
-  if (LocalPairs.empty())
-    return;
-
-  // Group pairs by the child's defining block so each block is scanned once.
-  auto ByBlock = [&](const LocalPair &L, const LocalPair &R) {
-    return DefBlock[L.Child]->id() < DefBlock[R.Child]->id();
-  };
-  std::stable_sort(LocalPairs.begin(), LocalPairs.end(), ByBlock);
-
-  size_t Idx = 0;
-  while (Idx != LocalPairs.size()) {
-    BasicBlock *B = DefBlock[LocalPairs[Idx].Child];
-    size_t End = Idx;
-    while (End != LocalPairs.size() && DefBlock[LocalPairs[End].Child] == B)
-      ++End;
-
-    // One forward scan: the last position each variable is used at in B.
-    // Body instruction i sits at position i + 1; phis at 0. The scratch map
-    // is reused across blocks and rounds (lookup-only, never iterated, so
-    // its insertion order cannot leak into results).
-    LastUseScratch.resizeUniverse(F.numVariables());
-    LastUseScratch.clear();
-    unsigned Pos = 1;
-    for (const auto &I : B->insts()) {
-      I->forEachUsedVar([&](Variable *V) { LastUseScratch[V->id()] = Pos; });
-      ++Pos;
-    }
-
-    for (; Idx != End; ++Idx) {
-      unsigned P = LocalPairs[Idx].Parent, C = LocalPairs[Idx].Child;
-      if (!isMerged(P, C))
-        continue; // An earlier eviction already separated them.
-
-      bool Interferes;
-      if (LV.isLiveOut(B, F.variable(P))) {
-        // The forest walk only queues live-in/same-block pairs, but an
-        // eviction elsewhere cannot weaken liveness, so recheck for safety.
-        Interferes = true;
-      } else {
-        const unsigned *Found = LastUseScratch.lookup(P);
-        unsigned LiveEnd = Found ? *Found : DefPos[P];
-        // Both defined at the top (two phis, or a phi and a parameter):
-        // parallel definitions interfere outright.
-        Interferes = LiveEnd > DefPos[C] ||
-                     (DefBlock[P] == B && DefPos[P] == DefPos[C]);
-      }
-      if (!Interferes)
-        continue;
-      if (Narrate)
-        std::fprintf(Narrate,
-                     "  local: %s overlaps %s inside block %s -> evict %s\n",
-                     F.variable(P)->name().c_str(),
-                     F.variable(C)->name().c_str(), B->name().c_str(),
-                     F.variable(cost(C) <= cost(P) ? C : P)->name().c_str());
-      evict(cost(C) <= cost(P) ? C : P);
-      ++Stats.LocalEvictions;
-    }
+  // Decide the pairs block by block, each block's in the order the walk
+  // queued them: the order of evictions decides which members survive.
+  std::stable_sort(LocalPairs.begin(), LocalPairs.end(),
+                   [&](const LocalPair &L, const LocalPair &R) {
+                     return DefBlock[L.Child]->id() < DefBlock[R.Child]->id();
+                   });
+  for (const LocalPair &L : LocalPairs) {
+    unsigned P = L.Parent, C = L.Child;
+    if (!isMerged(P, C) || !localOverlap(P, C))
+      continue; // Separated by an earlier eviction, or disjoint in the block.
+    unsigned Victim = cost(C) <= cost(P) ? C : P;
+    if (Narrate)
+      std::fprintf(Narrate,
+                   "  local: %s overlaps %s inside block %s -> evict %s\n",
+                   F.variable(P)->name().c_str(), F.variable(C)->name().c_str(),
+                   DefBlock[C]->name().c_str(),
+                   F.variable(Victim)->name().c_str());
+    evict(Victim);
+    ++Stats.LocalEvictions;
   }
 }
 

@@ -14,10 +14,15 @@
 ///     child's defining block interferes for certain — evict the cheaper
 ///     endpoint; a parent merely live-in (or sharing the block) is queued
 ///     for the in-block scan of Section 3.4.
-///  4. Resolve local interferences by scanning the affected blocks backward.
+///  4. Resolve local interferences with the in-block test: does the parent's
+///     last use in the block come after the child's definition?
 ///  5. Rename every surviving set to one name and materialize the pending
 ///     `Waiting[]` copies as parallel copies per edge (Section 3.6), which
 ///     makes the swap and virtual-swap orderings safe by construction.
+///
+/// The default (FastCoalescerOptions::EagerSetChecks) vets every union of
+/// phase 1 against the two sets' merged forest instead, so phases 2-4 find
+/// nothing to evict and are skipped; the lazy modes run them as above.
 ///
 /// Total complexity O(n alpha(n)) in the number of phi operands.
 ///
@@ -67,29 +72,26 @@ struct FastCoalesceStats {
   size_t PeakBytes = 0;
 };
 
-/// Ablation knobs (DESIGN.md's design-choice study). Defaults reproduce the
-/// paper's algorithm.
+/// Ablation knobs (DESIGN.md's design-choice study). The defaults add the
+/// eager set checks to the paper's algorithm; EagerSetChecks = false with
+/// RecoalesceEvicted = false is the paper's algorithm verbatim.
 struct FastCoalescerOptions {
   /// Apply the five Section 3.1 filters while building initial sets. With
   /// filters off every phi argument is unioned optimistically and the
   /// forest walk / local scan must undo the damage — correct, but more
   /// evictions land in worse places.
   bool UseFilters = true;
-  /// Pick forest-walk eviction victims by copy cost (Figure 2). When off,
-  /// the child is always evicted.
+  /// Lazy mode only: pick forest-walk eviction victims by copy cost, the
+  /// plain count of phi connections (Figure 2's "fewer copies to insert").
+  /// When off, the child is always evicted.
   bool CostBasedVictims = true;
-  /// Weight a member's eviction cost by 10^loop-depth of each phi edge it
-  /// would put a copy on, so victims whose copies land on hot back edges
-  /// lose ties. This is one of the precision heuristics the paper's
-  /// Section 5 leaves as future work; off, the cost is the plain count of
-  /// phi connections ("fewer copies to insert").
-  bool DepthWeightedCosts = true;
-  /// Re-run set building over the members evicted by a round, so a chain
-  /// evicted piecewise out of an entangled set (the swap shapes) regroups
-  /// into its own location instead of shattering into singletons. Each
-  /// round freezes at least one member per set, so the loop terminates;
-  /// two rounds is the norm. Also a Section 5 precision heuristic; off
-  /// reproduces the paper's single pass with singleton evictions.
+  /// Lazy mode only: re-run set building over the members evicted by a
+  /// round, so a chain evicted piecewise out of an entangled set (the swap
+  /// shapes) regroups into its own location instead of shattering into
+  /// singletons. Each round freezes at least one member per set, so the
+  /// loop terminates; two rounds is the norm there. A Section 5 precision
+  /// heuristic; off reproduces the paper's single pass with singleton
+  /// evictions. Eager mode never evicts, so it always runs one round.
   bool RecoalesceEvicted = true;
   /// Decide interference *before* each union by walking the dominance
   /// forest of the two candidate sets, and reject the union (one copy on
@@ -97,7 +99,9 @@ struct FastCoalescerOptions {
   /// member out of an already-merged set (copies on all of its edges).
   /// Same forests, same liveness tests, run eagerly; the paper's filters
   /// are the "simple cases" of this check ("These five are not exhaustive",
-  /// Section 3.1). Off reproduces the paper's lazy two-phase behavior.
+  /// Section 3.1). The default's only active heuristic: with it on, the
+  /// forest walk and the in-block scan find nothing to evict. Off
+  /// reproduces the paper's lazy two-phase behavior.
   bool EagerSetChecks = true;
   /// Observability sinks (support/Stats.h): sub-phase timers per round
   /// (fast.build-sets / fast.forest-walk / fast.local-scan / fast.rewrite,
@@ -138,7 +142,7 @@ private:
   void walkForests();
   void resolveLocalInterference();
   void evict(unsigned VarId);
-  /// Copies this member's eviction would insert (possibly depth weighted).
+  /// Copies this member's eviction would insert.
   uint64_t cost(unsigned VarId) const { return PhiDegree[VarId]; }
   bool isMerged(unsigned A, unsigned B);
   /// Eager mode: would merging the sets of \p RootA and \p RootB create a
@@ -182,7 +186,8 @@ private:
   std::vector<MemberList> MembersByRoot;              // eager mode
   std::vector<unsigned> ScratchStack; // reused by setsWouldInterfere
   SparseMap<const Instruction *> ClaimedBy;           // reused per block
-  std::vector<const BasicBlock *> SeenDefBlocks;      // reused per phi
+  std::vector<unsigned> AcceptedStamp; // filter 5: PhiStamp, by block id
+  unsigned PhiStamp = 0;              // bumped per phi visited
   SparseMap<unsigned> LastUseScratch;                 // reused per block
   Arena CacheArena{4096};            // valid across rounds (code is stable)
   std::vector<LastUseList> LastUseCache;              // lazily per block
@@ -190,7 +195,7 @@ private:
   // Whole-run state.
   std::vector<bool> Active;          // still seeking a set, by variable id
   std::vector<Variable *> FinalRep;  // frozen location, by variable id
-  std::vector<uint64_t> PhiDegree;   // (weighted) phi connections
+  std::vector<uint64_t> PhiDegree;   // phi connections, by variable id
   std::vector<BasicBlock *> DefBlock; // by variable id
   std::vector<unsigned> DefPos;       // by variable id
   std::vector<uint64_t> SortKey;      // (preorder << 32 | pos), by var id

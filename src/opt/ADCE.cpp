@@ -4,13 +4,13 @@
 
 #include "opt/PassManager.h"
 
-#include "analysis/DominatorTree.h"
+#include "analysis/DominanceFrontier.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 #include "ir/Variable.h"
 
 #include <cassert>
-#include <memory>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -27,21 +27,11 @@ ADCEStats fcc::runADCE(Function &F) {
   std::vector<BasicBlock *> IPdom;
   const bool CanRetarget = computePostDominators(F, IPdom);
 
-  std::vector<std::vector<const BasicBlock *>> RDF(N);
-  if (CanRetarget) {
-    // Reverse dominance frontiers, CHK-style: for every branch block X,
-    // walk each successor up the postdominator chain to ipdom(X); every
-    // block on the walk is control-dependent on X.
-    for (const auto &X : F.blocks()) {
-      Instruction *Term = X->terminator();
-      if (Term->getNumSuccessors() < 2)
-        continue;
-      for (const BasicBlock *S : Term->successors())
-        for (const BasicBlock *Runner = S; Runner != IPdom[X->id()];
-             Runner = IPdom[Runner->id()])
-          RDF[Runner->id()].push_back(X.get());
-    }
-  }
+  // Reverse dominance frontiers: the branches each block is
+  // control-dependent on.
+  std::optional<DominanceFrontier> RDF;
+  if (CanRetarget)
+    RDF.emplace(F, IPdom);
 
   // Defining instruction of each variable (parameters have none).
   std::vector<Instruction *> DefOf(F.numVariables(), nullptr);
@@ -89,8 +79,9 @@ ADCEStats fcc::runADCE(Function &F) {
     BasicBlock *B = I->getParent();
     if (!BlockHasLive[B->id()]) {
       BlockHasLive[B->id()] = 1;
-      for (const BasicBlock *X : RDF[B->id()])
-        MarkLive(X->terminator());
+      if (RDF)
+        for (const BasicBlock *X : RDF->frontier(B))
+          MarkLive(X->terminator());
     }
     I->forEachUsedVar([&](Variable *V) {
       if (Instruction *Def = DefOf[V->id()])

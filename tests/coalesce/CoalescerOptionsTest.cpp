@@ -39,11 +39,10 @@ FastCoalescerOptions optionsFor(unsigned Mode) {
   case 2: // Lazy with re-coalescing rounds.
     Opts.EagerSetChecks = false;
     break;
-  case 3: // Lazy, no filters, child victims, unweighted costs.
+  case 3: // Lazy, no filters, child victims.
     Opts.EagerSetChecks = false;
     Opts.UseFilters = false;
     Opts.CostBasedVictims = false;
-    Opts.DepthWeightedCosts = false;
     break;
   default:
     ADD_FAILURE() << "unknown mode";

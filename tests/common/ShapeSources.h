@@ -2,8 +2,8 @@
 ///
 /// \file
 /// Textual-IR generators for shape tests (deep block chains, diamond
-/// chains, fat blocks) and the corpus the parser's round-trip and mutation
-/// tests share.
+/// chains, fat blocks, wide joins, loop nests) and the corpus the parser's
+/// round-trip and mutation tests share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,6 +104,46 @@ inline std::string diamondChainSource(unsigned Blocks, uint64_t Seed = 1) {
     Text += "  %sum" + std::to_string(I - 1) + " = add %sum" +
             std::to_string(I - 2) + ", " + Var(I) + "\n";
   return Text + "  ret %sum" + std::to_string(Vars - 2) + "\n}\n";
+}
+
+/// \p Arms arms of a compare ladder joining one block, like a lowered
+/// switch: `dk` branches to arm `ak` when %p < k and on to `d(k+1)`
+/// otherwise, each arm defines %x and jumps to `join`, and the last rung
+/// falls through to its own arm.
+inline std::string wideJoinSource(unsigned Arms) {
+  std::string Text = "func @wide(%p) {\nentry:\n  br d0\n";
+  for (unsigned K = 0; K != Arms; ++K) {
+    std::string N = std::to_string(K);
+    Text += "d" + N + ":\n";
+    if (K + 1 != Arms)
+      Text += "  %c" + N + " = cmplt %p, " + N + "\n  cbr %c" + N + ", a" +
+              N + ", d" + std::to_string(K + 1) + "\n";
+    else
+      Text += "  br a" + N + "\n";
+    Text += "a" + N + ":\n  %x = add %p, " + N + "\n  br join\n";
+  }
+  return Text + "join:\n  ret %x\n}\n";
+}
+
+/// \p Depth natural loops nested in one another: header `hk` tests %x
+/// against %p and enters body `bk` or leaves to exit `ek`; `bk` enters the
+/// next loop, the innermost body bumps %x and loops back, and each exit
+/// bumps %x and returns to the enclosing header (`e0` returns %x).
+inline std::string loopNestSource(unsigned Depth) {
+  std::string Text = "func @nest(%p) {\nentry:\n  %x = add %p, 0\n  br h0\n";
+  for (unsigned K = 0; K != Depth; ++K) {
+    std::string N = std::to_string(K);
+    Text += "h" + N + ":\n  %t" + N + " = cmplt %x, %p\n  cbr %t" + N +
+            ", b" + N + ", e" + N + "\nb" + N + ":\n";
+    Text += K + 1 == Depth
+                ? "  %x = add %x, 1\n  br h" + N + "\n"
+                : "  br h" + std::to_string(K + 1) + "\n";
+  }
+  for (unsigned K = Depth; K-- > 0;)
+    Text += "e" + std::to_string(K) + ":\n  %x = add %x, 1\n" +
+            (K == 0 ? std::string("  ret %x\n")
+                    : "  br h" + std::to_string(K - 1) + "\n");
+  return Text + "}\n";
 }
 
 /// The parser's property corpus: 300 printed generator programs (the

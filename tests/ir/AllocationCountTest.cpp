@@ -3,13 +3,18 @@
 // Pins the IR's allocation behavior: instructions, their operands and
 // variables come from the function's pool, so parsing and SSA construction
 // make a handful of heap allocations per function, not one or more per
-// instruction or name. This binary replaces the global operator new and
-// delete to count calls, so it links no other test.
+// instruction or name. Also pins that setting up the coalescer allocates
+// linearly on a deep loop nest. This binary replaces the global operator
+// new and delete to count calls and requested bytes, so it links no other
+// test.
 //
 //===----------------------------------------------------------------------===//
 
 #include "../common/ShapeSources.h"
+#include "analysis/CFGUtils.h"
 #include "analysis/DominatorTree.h"
+#include "analysis/Liveness.h"
+#include "coalesce/FastCoalescer.h"
 #include "ir/Function.h"
 #include "ir/IRParser.h"
 #include "ir/Module.h"
@@ -23,14 +28,20 @@
 namespace {
 
 std::atomic<unsigned long> Allocations{0};
+std::atomic<unsigned long> AllocatedBytes{0};
 
-void *countedAlloc(std::size_t Bytes) {
+// Out of line: inlined into the replaced operator new, the malloc here
+// pairs with the replaced operator delete's free in GCC's view, and
+// -Wmismatched-new-delete fires on every test's factory.
+[[gnu::noinline]] void *countedAlloc(std::size_t Bytes) {
   Allocations.fetch_add(1, std::memory_order_relaxed);
+  AllocatedBytes.fetch_add(Bytes, std::memory_order_relaxed);
   return std::malloc(Bytes ? Bytes : 1);
 }
 
 void *countedAlignedAlloc(std::size_t Bytes, std::align_val_t Align) {
   Allocations.fetch_add(1, std::memory_order_relaxed);
+  AllocatedBytes.fetch_add(Bytes, std::memory_order_relaxed);
   std::size_t A = static_cast<std::size_t>(Align);
   std::size_t Rounded = (Bytes + A - 1) / A * A;
   return std::aligned_alloc(A, Rounded ? Rounded : A);
@@ -88,6 +99,13 @@ template <typename FnT> unsigned long allocationsOf(FnT Fn) {
   return Allocations.load(std::memory_order_relaxed) - Before;
 }
 
+/// Heap bytes \p Fn requests.
+template <typename FnT> unsigned long bytesAllocatedBy(FnT Fn) {
+  unsigned long Before = AllocatedBytes.load(std::memory_order_relaxed);
+  Fn();
+  return AllocatedBytes.load(std::memory_order_relaxed) - Before;
+}
+
 TEST(AllocationCountTest, ParsingAllocatesLessThanOncePerFourInstructions) {
   const std::string Text = testprogs::fatBlockSource(2000, 5);
   std::string Error;
@@ -113,6 +131,29 @@ TEST(AllocationCountTest, SSAConstructionAllocatesLittlePerNameItCreates) {
   ASSERT_GT(Names, 1000u);
   EXPECT_LE(static_cast<double>(Allocs) / Names, 0.4)
       << Allocs << " allocations for " << Names << " names";
+}
+
+/// Bytes constructing a FastCoalescer requests on a \p Depth-deep loop nest
+/// in SSA form.
+unsigned long coalescerSetupBytes(unsigned Depth) {
+  std::unique_ptr<Module> M =
+      parseSingleFunctionOrDie(testprogs::loopNestSource(Depth));
+  Function &F = *M->functions()[0];
+  splitCriticalEdges(F);
+  DominatorTree DT(F);
+  SSABuildOptions Opts;
+  Opts.FoldCopies = true;
+  buildSSA(F, DT, Opts);
+  Liveness LV(F);
+  return bytesAllocatedBy([&] { FastCoalescer Coalescer(F, DT, LV); });
+}
+
+TEST(AllocationCountTest, CoalescerSetupGrowsLinearlyWithLoopDepth) {
+  unsigned long Small = coalescerSetupBytes(1000);
+  unsigned long Large = coalescerSetupBytes(2000);
+  ASSERT_GT(Small, 0u);
+  EXPECT_LE(static_cast<double>(Large), 2.5 * static_cast<double>(Small))
+      << Small << " -> " << Large << " bytes";
 }
 
 } // namespace
