@@ -10,20 +10,26 @@
 #include "ir/Variable.h"
 #include "support/IndexSet.h"
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <vector>
 
 using namespace fcc;
 
 namespace {
 
+constexpr unsigned NoSlot = ~0u;
+
 /// Renaming state: one stack of current SSA names per original variable.
 class Renamer {
 public:
   Renamer(Function &F, const DominatorTree &DT, bool FoldCopies,
-          unsigned NumOriginals, SSABuildStats &Stats)
+          unsigned NumOriginals, std::vector<unsigned> &SlotInSucc,
+          SSABuildStats &Stats)
       : F(F), DT(DT), FoldCopies(FoldCopies), Stacks(NumOriginals),
-        Counter(NumOriginals, 0), NumOriginals(NumOriginals), Stats(Stats) {
+        Counter(NumOriginals, 0), NumOriginals(NumOriginals),
+        SlotInSucc(SlotInSucc), Stats(Stats) {
     // Parameters enter with themselves as version zero.
     for (Variable *P : F.params())
       Stacks[P->id()].push_back(P);
@@ -69,6 +75,9 @@ private:
   std::vector<std::vector<Variable *>> Stacks; // indexed by original var id
   std::vector<unsigned> Counter;               // indexed by original var id
   unsigned NumOriginals;
+  /// By block id: a one-successor block's operand slot in its successor's
+  /// phis, NoSlot until the first edge into that successor is renamed.
+  std::vector<unsigned> &SlotInSucc;
   SSABuildStats &Stats;
   // Originals whose stacks renameBlock pushed for every block on the
   // current dominator-tree path, oldest first.
@@ -145,9 +154,25 @@ void Renamer::renameBlock(BasicBlock *B) {
     Pushed.push_back(Def);
   }
 
-  // Fill phi operands of CFG successors for the edges leaving B.
-  for (BasicBlock *S : B->terminator()->successors()) {
-    unsigned SlotIdx = S->predIndex(B);
+  // Fill phi operands of CFG successors for the edges leaving B. The first
+  // edge renamed into a join records every predecessor's slot in one pass
+  // over its list, so a wide join costs its width once, not per arm. A
+  // block with two successors has a critical edge into any join; only
+  // input whose critical edges are not split asks predIndex (the first
+  // match).
+  std::span<BasicBlock *const> Succs = B->terminator()->successors();
+  for (BasicBlock *S : Succs) {
+    if (S->phis().empty())
+      continue;
+    unsigned SlotIdx;
+    if (Succs.size() == 1) {
+      if (SlotInSucc[B->id()] == NoSlot)
+        for (unsigned Slot = 0, E = S->getNumPreds(); Slot != E; ++Slot)
+          SlotInSucc[S->preds()[Slot]->id()] = Slot;
+      SlotIdx = SlotInSucc[B->id()];
+    } else {
+      SlotIdx = S->predIndex(B);
+    }
     for (const auto &Phi : S->phis()) {
       Operand &O = Phi->getOperand(SlotIdx);
       if (O.isVar() && O.getVar()->id() < NumOriginals)
@@ -243,9 +268,14 @@ SSABuildStats fcc::buildSSA(Function &F, const DominatorTree &DT,
         Place(VarId, [](const BasicBlock *) { return true; });
   }
 
+  // Placement is done with the stamps, so their storage holds renaming's
+  // phi slots.
+  std::vector<unsigned> &SlotInSucc = PhiStamp;
+  std::fill(SlotInSucc.begin(), SlotInSucc.end(), NoSlot);
+
   // Rename, then erase the folded copies: theirs are the only defs still
   // naming an original variable.
-  Renamer R(F, DT, Opts.FoldCopies, NumOriginals, Stats);
+  Renamer R(F, DT, Opts.FoldCopies, NumOriginals, SlotInSucc, Stats);
   R.run();
   if (Opts.FoldCopies)
     for (const auto &B : F.blocks())

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// Textual-IR generators for shape tests (deep block chains, diamond
-/// chains, fat blocks, wide joins, loop nests) and the corpus the parser's
-/// round-trip and mutation tests share.
+/// chains, fat blocks, wide joins, loop nests, if-chains) and the corpus the
+/// parser's round-trip and mutation tests share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -144,6 +144,23 @@ inline std::string loopNestSource(unsigned Depth) {
             (K == 0 ? std::string("  ret %x\n")
                     : "  br h" + std::to_string(K - 1) + "\n");
   return Text + "}\n";
+}
+
+/// \p Ifs one-armed ifs in a row: block `ck` tests %x against %p and
+/// branches to `ckl`, which bumps %x, or to `ckr`, which only branches on;
+/// both go to `c(k+1)`, and the last block returns %x.
+inline std::string ifChainSource(unsigned Ifs) {
+  std::string Text =
+      "func @ifchain(%p) {\nentry:\n  %x = add %p, 0\n  br c0\n";
+  for (unsigned K = 0; K != Ifs; ++K) {
+    std::string C = "c" + std::to_string(K);
+    std::string Next = "c" + std::to_string(K + 1);
+    Text += C + ":\n  %t" + std::to_string(K) + " = cmplt %x, %p\n  cbr %t" +
+            std::to_string(K) + ", " + C + "l, " + C + "r\n";
+    Text += C + "l:\n  %x = add %x, 1\n  br " + Next + "\n";
+    Text += C + "r:\n  br " + Next + "\n";
+  }
+  return Text + "c" + std::to_string(Ifs) + ":\n  ret %x\n}\n";
 }
 
 /// The parser's property corpus: 300 printed generator programs (the

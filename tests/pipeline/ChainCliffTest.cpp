@@ -1,16 +1,24 @@
 //===- tests/pipeline/ChainCliffTest.cpp ----------------------------------===//
 //
-// The chain and wide-join legs of the scaling-cliff gate. A diamond chain's
-// names grow with its blocks, so liveness stored as blocks x names makes its
-// compile quadratic: doubling the chain grew PeakBytes 3.5-3.9x and time
-// 2.8-3.1x. Compiled through the service at 12 500 and 25 000 blocks under
-// New and Standard, doubling may now grow PeakBytes and the best-of-five
-// compile time by at most 2.5x, and a 50 000-block New compile stays under
-// 16 MB. Timing-sensitive, so ctest runs it alone, and the two sizes
-// alternate so both see the same machine. Sanitizer runtimes (shadow memory,
-// quarantine, fake stacks) do not scale time with the work, so there only
-// the byte bounds apply. A wide join's frontier walks climbed every arm's
-// whole ladder (PeakBytes 4x per doubling); it has a byte leg only.
+// The scaling-cliff gate: a shape compiled through the service at two
+// sizes, the larger twice the smaller, may grow PeakBytes and the
+// best-of-five compile time by at most 2.5x. Timing-sensitive, so ctest
+// runs it alone, and the two sizes alternate so both see the same machine.
+// Sanitizer runtimes (shadow memory, quarantine, fake stacks) do not scale
+// time with the work, so there only the byte bounds apply.
+//
+// - A diamond chain's names grow with its blocks, so liveness stored as
+//   blocks x names made its compile quadratic (PeakBytes 3.5-3.9x and time
+//   2.8-3.1x per doubling). New and Standard, 12 500 -> 25 000 blocks; a
+//   50 000-block New compile also stays under 16 MB.
+// - A wide join's frontier walks climbed every arm's whole ladder, and SSA
+//   renaming and the verifier searched the join's predecessor list once per
+//   arm. Standard and New, 16 000 -> 32 000 arms.
+// - New's eager set checks scanned both whole sets at every union and
+//   copied both member lists into a fresh array, so a set that grows one
+//   member at a time cost O(k^2) time and bytes: the wide join's one wide
+//   phi, a one-armed if-chain and a loop nest all grew 4x per doubling.
+//   New, 8 000 -> 16 000 ifs and 8 000 -> 16 000 nested loops.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +32,7 @@
 #include <string>
 
 using namespace fcc;
-using testprogs::diamondChainSource;
-using testprogs::wideJoinSource;
+using namespace fcc::testprogs;
 
 namespace {
 
@@ -53,39 +60,56 @@ void compileShape(const CompilationService &Service, const std::string &Text,
   Into.PeakBytes = U.Functions[0].Compile.PeakBytes;
 }
 
-TEST(ChainCliffTest, DoublingTheChainAtMostTwoAndAHalfTimesTheCost) {
-  const std::string SmallText = diamondChainSource(12500);
-  const std::string LargeText = diamondChainSource(25000);
-  for (PipelineKind Kind : {PipelineKind::New, PipelineKind::Standard}) {
-    ServiceOptions Opts;
-    Opts.Pipeline = Kind;
-    CompilationService Service(Opts);
-    ShapeCompile Small, Large;
-    for (unsigned Run = 0; Run != 5; ++Run) {
-      compileShape(Service, SmallText, Small);
-      compileShape(Service, LargeText, Large);
-    }
-    ASSERT_GT(Small.PeakBytes, 0u) << pipelineName(Kind);
-    EXPECT_LE(double(Large.PeakBytes), 2.5 * double(Small.PeakBytes))
-        << pipelineName(Kind) << ": PeakBytes " << Small.PeakBytes << " -> "
-        << Large.PeakBytes;
-    if (TimesScale)
-      EXPECT_LE(Large.BestSeconds, 2.5 * Small.BestSeconds)
-          << pipelineName(Kind) << ": best of five " << Small.BestSeconds
-          << " s -> " << Large.BestSeconds << " s";
+/// Compiles \p Shape at \p Size and 2 x \p Size under \p Kind, five times
+/// each with the sizes alternating, and expects PeakBytes and the best time
+/// to grow at most 2.5x.
+void expectDoublingAtMostTwoAndAHalfTimes(PipelineKind Kind,
+                                          std::string (*Shape)(unsigned),
+                                          unsigned Size) {
+  const std::string SmallText = Shape(Size), LargeText = Shape(2 * Size);
+  ServiceOptions Opts;
+  Opts.Pipeline = Kind;
+  CompilationService Service(Opts);
+  ShapeCompile Small, Large;
+  for (unsigned Run = 0; Run != 5; ++Run) {
+    compileShape(Service, SmallText, Small);
+    compileShape(Service, LargeText, Large);
+  }
+  std::string Leg = std::string(pipelineName(Kind)) + " at " +
+                    std::to_string(Size) + " -> " + std::to_string(2 * Size);
+  ASSERT_GT(Small.PeakBytes, 0u) << Leg;
+  EXPECT_LE(double(Large.PeakBytes), 2.5 * double(Small.PeakBytes))
+      << Leg << ": PeakBytes " << Small.PeakBytes << " -> "
+      << Large.PeakBytes;
+  if (TimesScale) {
+    EXPECT_LE(Large.BestSeconds, 2.5 * Small.BestSeconds)
+        << Leg << ": best of five " << Small.BestSeconds << " s -> "
+        << Large.BestSeconds << " s";
   }
 }
 
-TEST(WideJoinCliffTest, DoublingTheArmsAtMostTwoAndAHalfTimesThePeakBytes) {
-  ServiceOptions Opts;
-  Opts.Pipeline = PipelineKind::Standard;
-  CompilationService Service(Opts);
-  ShapeCompile Small, Large;
-  compileShape(Service, wideJoinSource(4000), Small);
-  compileShape(Service, wideJoinSource(8000), Large);
-  ASSERT_GT(Small.PeakBytes, 0u);
-  EXPECT_LE(double(Large.PeakBytes), 2.5 * double(Small.PeakBytes))
-      << "PeakBytes " << Small.PeakBytes << " -> " << Large.PeakBytes;
+std::string diamondChain(unsigned Blocks) {
+  return diamondChainSource(Blocks);
+}
+
+TEST(ChainCliffTest, DoublingTheChainAtMostTwoAndAHalfTimesTheCost) {
+  for (PipelineKind Kind : {PipelineKind::New, PipelineKind::Standard})
+    expectDoublingAtMostTwoAndAHalfTimes(Kind, diamondChain, 12500);
+}
+
+TEST(WideJoinCliffTest, DoublingTheArmsAtMostTwoAndAHalfTimesTheCost) {
+  for (PipelineKind Kind : {PipelineKind::Standard, PipelineKind::New})
+    expectDoublingAtMostTwoAndAHalfTimes(Kind, wideJoinSource, 16000);
+}
+
+TEST(IfChainCliffTest, DoublingTheIfsAtMostTwoAndAHalfTimesTheCost) {
+  expectDoublingAtMostTwoAndAHalfTimes(PipelineKind::New, ifChainSource,
+                                       8000);
+}
+
+TEST(LoopNestCliffTest, DoublingTheDepthAtMostTwoAndAHalfTimesTheCost) {
+  expectDoublingAtMostTwoAndAHalfTimes(PipelineKind::New, loopNestSource,
+                                       8000);
 }
 
 TEST(ChainCliffTest, FiftyThousandBlocksUnderSixteenMegabytes) {
