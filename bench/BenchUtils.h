@@ -1,92 +1,19 @@
-//===- bench/BenchUtils.h - Table harness helpers ---------------*- C++ -*-===//
+//===- bench/BenchUtils.h - Table printers ----------------------*- C++ -*-===//
 ///
 /// \file
-/// Helpers shared by the per-table benchmark binaries: run every pipeline
-/// over the paper suite with repeat timing, select the paper's "ten largest"
-/// rows, and print fixed-width tables shaped like the paper's.
+/// Fixed-width table printers shared by the benchmark binaries, so every
+/// table they print is shaped like the paper's.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCC_BENCH_BENCHUTILS_H
 #define FCC_BENCH_BENCHUTILS_H
 
-#include "pipeline/Pipeline.h"
-#include "workload/KernelSuite.h"
-
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 namespace fcc::bench {
-
-/// All measurements for one routine under every configuration.
-struct SuiteRow {
-  std::string Name;
-  RoutineReport Standard;
-  RoutineReport New;
-  RoutineReport Briggs;
-  RoutineReport BriggsImproved;
-};
-
-/// Repeats a compile-only pipeline run \p Repeats times after one untimed
-/// warmup run and reports the median times (other metrics are deterministic,
-/// so any run's copy serves). The pipeline clocks are steady-clock already
-/// (support/Timer.h); the warmup pass absorbs first-touch effects — page
-/// faults, cold caches, lazy suite materialization — and the median resists
-/// the scheduling outliers a minimum or single shot is hostage to.
-inline RoutineReport timedRun(const RoutineSpec &Spec, PipelineKind Kind,
-                              bool Execute, unsigned Repeats) {
-  runOnRoutine(Spec, Kind, Execute); // warmup, never recorded
-
-  RoutineReport Result;
-  std::vector<uint64_t> Times, CoalesceTimes;
-  Times.reserve(Repeats);
-  CoalesceTimes.reserve(Repeats);
-  for (unsigned I = 0; I < Repeats; ++I) {
-    RoutineReport Next = runOnRoutine(Spec, Kind, Execute);
-    Times.push_back(Next.Compile.TimeMicros);
-    CoalesceTimes.push_back(Next.Compile.CoalesceTimeMicros);
-    if (I == 0)
-      Result = std::move(Next);
-  }
-  std::sort(Times.begin(), Times.end());
-  std::sort(CoalesceTimes.begin(), CoalesceTimes.end());
-  Result.Compile.TimeMicros = Times[Times.size() / 2];
-  Result.Compile.CoalesceTimeMicros = CoalesceTimes[CoalesceTimes.size() / 2];
-  return Result;
-}
-
-/// Runs the whole paper suite under all four configurations.
-inline std::vector<SuiteRow> runSuite(bool Execute, unsigned Repeats = 3,
-                                      unsigned TotalRoutines = 169) {
-  std::vector<SuiteRow> Rows;
-  for (const RoutineSpec &Spec : paperSuite(TotalRoutines)) {
-    SuiteRow Row;
-    Row.Name = Spec.Name;
-    Row.Standard = timedRun(Spec, PipelineKind::Standard, Execute, Repeats);
-    Row.New = timedRun(Spec, PipelineKind::New, Execute, Repeats);
-    Row.Briggs = timedRun(Spec, PipelineKind::Briggs, Execute, Repeats);
-    Row.BriggsImproved =
-        timedRun(Spec, PipelineKind::BriggsImproved, Execute, Repeats);
-    Rows.push_back(std::move(Row));
-  }
-  return Rows;
-}
-
-/// Keeps the \p N rows with the largest \p Key, ordered descending — the
-/// paper's "ten largest results in each experiment".
-template <typename KeyFn>
-inline std::vector<SuiteRow> topRows(std::vector<SuiteRow> Rows, KeyFn Key,
-                                     unsigned N = 10) {
-  std::stable_sort(Rows.begin(), Rows.end(),
-                   [&](const SuiteRow &A, const SuiteRow &B) {
-                     return Key(A) > Key(B);
-                   });
-  if (Rows.size() > N)
-    Rows.resize(N);
-  return Rows;
-}
 
 /// Fixed-width cell printers.
 inline void printDivider(unsigned Cols, unsigned Width = 12) {

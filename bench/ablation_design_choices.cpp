@@ -26,6 +26,7 @@
 #include "ir/Module.h"
 #include "ssa/SSABuilder.h"
 #include "support/Timer.h"
+#include "workload/KernelSuite.h"
 
 using namespace fcc;
 using namespace fcc::bench;

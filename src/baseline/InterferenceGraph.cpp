@@ -145,10 +145,6 @@ unsigned InterferenceGraph::nodeIndex(const Variable *V) const {
   return static_cast<unsigned>(VarToNode[V->id()]);
 }
 
-bool InterferenceGraph::isNode(const Variable *V) const {
-  return V->id() < VarToNode.size() && VarToNode[V->id()] >= 0;
-}
-
 bool InterferenceGraph::interfere(const Variable *A,
                                   const Variable *B) const {
   return Matrix.test(nodeIndex(A), nodeIndex(B));

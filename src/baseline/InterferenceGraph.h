@@ -51,9 +51,6 @@ public:
   /// Number of graph nodes (== restricted universe size, or all variables).
   unsigned numNodes() const { return Matrix.size(); }
 
-  /// True when \p V is a node of this graph.
-  bool isNode(const Variable *V) const;
-
   /// Interference query; both variables must be nodes.
   bool interfere(const Variable *A, const Variable *B) const;
 

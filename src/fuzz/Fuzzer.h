@@ -8,10 +8,10 @@
 /// instruction-level IRReducer — into a minimal reproducer.
 ///
 /// Concurrency follows the compilation service's recipe: runs are sharded
-/// across the work-stealing ThreadPool, every run derives all randomness
-/// from (MasterSeed, RunIndex), results land in per-run slots, and a run
-/// that throws is captured as an internal-error finding rather than taking
-/// the campaign down. The report (and its JSON form) is therefore
+/// across the ThreadPool, every run derives all randomness from
+/// (MasterSeed, RunIndex), results land in per-run slots, and a run that
+/// throws is captured as an internal-error finding rather than taking the
+/// campaign down. The report (and its JSON form) is therefore
 /// byte-identical across --jobs counts for a fixed seed and run count.
 ///
 //===----------------------------------------------------------------------===//

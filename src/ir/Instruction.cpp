@@ -1,10 +1,8 @@
 //===- ir/Instruction.cpp -------------------------------------------------===//
 
 #include "ir/Instruction.h"
-#include "ir/Function.h"
 #include "ir/Variable.h"
-
-#include <algorithm>
+#include "support/Arena.h"
 
 using namespace fcc;
 
@@ -12,7 +10,7 @@ Instruction::Instruction(Opcode Op, Variable *Def, Operand *Ops,
                          unsigned NumOps, BasicBlock **Succs,
                          unsigned NumSuccs)
     : Op(Op), NumSuccs(static_cast<uint8_t>(NumSuccs)), NumOps(NumOps),
-      Capacity(NumOps), Def(Def), Ops(Ops), Succs(Succs) {
+      Def(Def), Ops(Ops), Succs(Succs) {
   assert((Def == nullptr || opcodeHasDef(Op)) &&
          "def supplied for a non-defining opcode");
   int Required = opcodeNumOperands(Op);
@@ -23,25 +21,12 @@ Instruction::Instruction(Opcode Op, Variable *Def, Operand *Ops,
          "wrong successor count for opcode");
 }
 
-void Instruction::addPhiOperand(Operand O) {
-  assert(isPhi() && "not a phi");
-  if (NumOps == Capacity) {
-    assert(Parent && "a phi grows in its block's function pool");
-    unsigned Grown = Capacity < 2 ? 4 : 2 * Capacity;
-    Operand *To =
-        Parent->getParent()->Pool.allocateArray<Operand>(Grown);
-    std::copy(Ops, Ops + NumOps, To);
-    ASAN_POISON_MEMORY_REGION(Ops, Capacity * sizeof(Operand));
-    Ops = To;
-    Capacity = Grown;
-  }
-  Ops[NumOps++] = O;
-}
-
 void Instruction::poisonErased() {
-  ASAN_POISON_MEMORY_REGION(Ops, Capacity * sizeof(Operand));
-  ASAN_POISON_MEMORY_REGION(Succs, NumSuccs * sizeof(BasicBlock *));
-  ASAN_POISON_MEMORY_REGION(this, sizeof(Instruction));
+  // Function::makeInstruction lays the instruction, its operands and its
+  // successors out back to back, so the successor array ends the record;
+  // operand slots a phi gave up stay inside it.
+  auto *End = reinterpret_cast<char *>(Succs + NumSuccs);
+  ASAN_POISON_MEMORY_REGION(this, End - reinterpret_cast<char *>(this));
 }
 
 const char *fcc::opcodeName(Opcode Op) {

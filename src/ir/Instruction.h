@@ -91,11 +91,8 @@ public:
     return {Succs, NumSuccs};
   }
 
-  /// Phi helpers: adds an incoming operand for a freshly added predecessor.
-  /// A full operand array moves to a larger one in the function's pool, so
-  /// the phi must be in a block.
-  void addPhiOperand(Operand O);
-  /// Phi helpers: removes the incoming operand at predecessor slot \p I.
+  /// Removes a phi's incoming operand at predecessor slot \p I. Phis are
+  /// made with one operand per predecessor and never grow.
   void removePhiOperand(unsigned I) {
     assert(isPhi() && I < NumOps && "bad phi slot");
     for (unsigned J = I + 1; J != NumOps; ++J)
@@ -119,7 +116,6 @@ private:
   Opcode Op;
   uint8_t NumSuccs;
   unsigned NumOps;
-  unsigned Capacity; ///< Operand slots at Ops (phis grow into a new array).
   Variable *Def;
   BasicBlock *Parent = nullptr;
   Operand *Ops;

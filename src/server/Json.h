@@ -32,7 +32,6 @@ public:
   enum class Kind { Null, Bool, Int, Str, Array, Object };
 
   Kind kind() const { return K; }
-  bool isNull() const { return K == Kind::Null; }
 
   bool boolean() const { return B; }
   int64_t integer() const { return I; }

@@ -3,9 +3,9 @@
 /// \file
 /// The long-lived compilation server behind `fcc-served`: accepts
 /// line-delimited JSON requests over a Unix domain socket, compiles units
-/// on the shared work-stealing ThreadPool through one CompilationService
-/// (so every connection shares one ResultCache), and streams responses
-/// back as they finish.
+/// on the shared ThreadPool through one CompilationService (so every
+/// connection shares one ResultCache), and streams responses back as they
+/// finish.
 ///
 /// Protocol (one JSON object per line, in both directions):
 ///
@@ -103,9 +103,6 @@ public:
   int stopFd() const { return PipeWr; }
 
   Counters counters() const;
-  ResultCache::Occupancy cacheOccupancy() const {
-    return Cache ? Cache->occupancy() : ResultCache::Occupancy{};
-  }
 
 private:
   /// Per-connection state, shared between the reader thread and the pool

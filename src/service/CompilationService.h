@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The parallel compilation service: shards a corpus of WorkUnits across a
-/// work-stealing ThreadPool and runs one of the paper's pipelines over each
-/// unit on a worker thread. The design leans on two properties:
+/// ThreadPool and runs one of the paper's pipelines over each unit on a
+/// worker thread. The design leans on two properties:
 ///
 ///   1. Determinism. Every unit materializes its own Module and the
 ///      pipelines keep no state outside the Function they rewrite (see the

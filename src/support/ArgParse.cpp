@@ -4,7 +4,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 using namespace fcc;
 
@@ -50,4 +52,59 @@ bool fcc::splitIntList(const std::string &Text, std::vector<int64_t> &Out,
       return true;
     Pos = Comma + 1;
   }
+}
+
+bool fcc::parseUnsignedFlag(const std::string &Arg, const char *Prefix,
+                            uint64_t &Out, uint64_t Min, uint64_t Max) {
+  size_t PrefixLen = std::strlen(Prefix);
+  assert(Arg.compare(0, PrefixLen, Prefix) == 0 && "flag without its prefix");
+  uint64_t Value = 0;
+  if (!parseUint64Arg(Arg.substr(PrefixLen), Value) || Value < Min ||
+      Value > Max) {
+    // The flag's name is the prefix without its '='.
+    std::fprintf(stderr, "bad %.*s value in '%s'\n",
+                 static_cast<int>(PrefixLen - 1), Prefix, Arg.c_str());
+    return false;
+  }
+  Out = Value;
+  return true;
+}
+
+bool fcc::parseGenerateFlag(const std::string &Arg, unsigned &Count,
+                            uint64_t &Seed) {
+  static constexpr char Prefix[] = "--generate=";
+  assert(Arg.rfind(Prefix, 0) == 0 && "not a --generate flag");
+  std::string Spec = Arg.substr(sizeof(Prefix) - 1);
+  size_t Colon = Spec.find(':');
+  uint64_t NewSeed = Seed;
+  if (Colon != std::string::npos &&
+      !parseUint64Arg(Spec.substr(Colon + 1), NewSeed)) {
+    std::fprintf(stderr, "bad --generate seed in '%s'\n", Arg.c_str());
+    return false;
+  }
+  uint64_t Value = 0;
+  if (!parseUint64Arg(Spec.substr(0, Colon), Value) ||
+      Value > std::numeric_limits<unsigned>::max()) {
+    std::fprintf(stderr, "bad --generate count in '%s'\n", Arg.c_str());
+    return false;
+  }
+  Count = static_cast<unsigned>(Value);
+  Seed = NewSeed;
+  return true;
+}
+
+bool fcc::parseRunFlag(int Argc, char **Argv, int &I,
+                       std::vector<int64_t> &Out) {
+  if (I + 1 >= Argc)
+    return true;
+  const char *Next = Argv[I + 1];
+  if (Next[0] == '-' && !std::isdigit(static_cast<unsigned char>(Next[1])))
+    return true;
+  ++I;
+  std::string BadToken;
+  if (!splitIntList(Next, Out, BadToken)) {
+    std::fprintf(stderr, "bad --run argument '%s'\n", BadToken.c_str());
+    return false;
+  }
+  return true;
 }

@@ -2,7 +2,6 @@
 ///
 /// \file
 /// A dense bitset keyed by small unsigned ids (variable or block numbers).
-/// The set operations are word-parallel.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,31 +66,6 @@ public:
     for (uint64_t W : Words)
       Total += static_cast<size_t>(__builtin_popcountll(W));
     return Total;
-  }
-
-  /// Adds every member of \p Other; returns true when this set grew.
-  bool unionWith(const IndexSet &Other) {
-    assert(Other.Words.size() <= Words.size() && "universe mismatch");
-    bool Changed = false;
-    for (size_t I = 0, E = Other.Words.size(); I != E; ++I) {
-      uint64_t New = Words[I] | Other.Words[I];
-      Changed |= New != Words[I];
-      Words[I] = New;
-    }
-    return Changed;
-  }
-
-  /// Removes every member of \p Other.
-  void subtract(const IndexSet &Other) {
-    for (size_t I = 0, E = std::min(Words.size(), Other.Words.size()); I != E;
-         ++I)
-      Words[I] &= ~Other.Words[I];
-  }
-
-  /// Keeps only members also in \p Other.
-  void intersectWith(const IndexSet &Other) {
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      Words[I] &= I < Other.Words.size() ? Other.Words[I] : 0;
   }
 
   bool operator==(const IndexSet &Other) const {

@@ -12,17 +12,14 @@ ThreadPool::ThreadPool(unsigned ThreadCount) {
     if (ThreadCount == 0)
       ThreadCount = 1;
   }
-  Workers.reserve(ThreadCount);
-  for (unsigned I = 0; I != ThreadCount; ++I)
-    Workers.push_back(std::make_unique<Worker>());
   Threads.reserve(ThreadCount);
   for (unsigned I = 0; I != ThreadCount; ++I)
-    Threads.emplace_back([this, I] { workerLoop(I); });
+    Threads.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> L(PoolLock);
+    std::lock_guard<std::mutex> L(Lock);
     ShuttingDown = true;
   }
   WorkReady.notify_all();
@@ -31,21 +28,16 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> Task) {
-  unsigned Target = NextQueue.fetch_add(1) % Workers.size();
   {
-    std::lock_guard<std::mutex> QL(Workers[Target]->Lock);
-    Workers[Target]->Queue.push_back(std::move(Task));
-  }
-  {
-    std::lock_guard<std::mutex> L(PoolLock);
+    std::lock_guard<std::mutex> L(Lock);
+    Queue.push_back(std::move(Task));
     ++Pending;
-    ++Queued;
   }
   WorkReady.notify_one();
 }
 
 void ThreadPool::wait() {
-  std::unique_lock<std::mutex> L(PoolLock);
+  std::unique_lock<std::mutex> L(Lock);
   AllDone.wait(L, [this] { return Pending == 0; });
   if (FirstError) {
     std::exception_ptr E = std::exchange(FirstError, nullptr);
@@ -54,69 +46,30 @@ void ThreadPool::wait() {
   }
 }
 
-std::function<void()> ThreadPool::popOwn(Worker &W) {
-  std::lock_guard<std::mutex> QL(W.Lock);
-  if (W.Queue.empty())
-    return nullptr;
-  std::function<void()> Task = std::move(W.Queue.front());
-  W.Queue.pop_front();
-  return Task;
-}
-
-std::function<void()> ThreadPool::steal(unsigned Self) {
-  for (size_t Offset = 1; Offset < Workers.size(); ++Offset) {
-    Worker &Victim = *Workers[(Self + Offset) % Workers.size()];
-    std::lock_guard<std::mutex> QL(Victim.Lock);
-    if (Victim.Queue.empty())
-      continue;
-    std::function<void()> Task = std::move(Victim.Queue.back());
-    Victim.Queue.pop_back();
-    return Task;
-  }
-  return nullptr;
-}
-
-void ThreadPool::runTask(std::function<void()> &Task) {
-  try {
-    Task();
-  } catch (...) {
-    std::lock_guard<std::mutex> L(PoolLock);
-    if (!FirstError)
-      FirstError = std::current_exception();
-  }
-}
-
-void ThreadPool::workerLoop(unsigned Self) {
+void ThreadPool::workerLoop() {
+  std::unique_lock<std::mutex> L(Lock);
   while (true) {
-    std::function<void()> Task = popOwn(*Workers[Self]);
-    bool WasSteal = false;
-    if (!Task) {
-      Task = steal(Self);
-      WasSteal = Task != nullptr;
-    }
-
-    if (Task) {
-      {
-        std::lock_guard<std::mutex> L(PoolLock);
-        --Queued;
-      }
-      if (WasSteal)
-        Stolen.fetch_add(1);
-      runTask(Task);
-      {
-        std::lock_guard<std::mutex> L(PoolLock);
-        --Pending;
-        if (Pending == 0)
-          AllDone.notify_all();
-      }
-      continue;
-    }
-
-    std::unique_lock<std::mutex> L(PoolLock);
-    // Exit only once shutdown has been requested and no task is waiting in
-    // any deque: the destructor's contract is to drain, not to abandon.
-    if (ShuttingDown && Queued == 0)
+    WorkReady.wait(L, [this] { return ShuttingDown || !Queue.empty(); });
+    // Exit only once shutdown has been requested and the queue is empty:
+    // the destructor's contract is to drain, not to abandon.
+    if (Queue.empty())
       return;
-    WorkReady.wait(L, [this] { return ShuttingDown || Queued > 0; });
+    std::function<void()> Task = std::move(Queue.front());
+    Queue.pop_front();
+
+    L.unlock();
+    std::exception_ptr Error;
+    try {
+      Task();
+    } catch (...) {
+      Error = std::current_exception();
+    }
+    Task = nullptr; // release the task's captures outside the lock
+    L.lock();
+
+    if (Error && !FirstError)
+      FirstError = std::move(Error);
+    if (--Pending == 0)
+      AllDone.notify_all();
   }
 }

@@ -1,16 +1,14 @@
-//===- support/ThreadPool.h - Work-stealing task pool -----------*- C++ -*-===//
+//===- support/ThreadPool.h - Fixed-size task pool --------------*- C++ -*-===//
 ///
 /// \file
-/// A fixed-size pool of worker threads with per-worker deques and work
-/// stealing, built for the compilation service's function-level sharding:
-/// tasks are independent, short-to-medium grained, and heavily imbalanced
-/// (one pathological routine can cost 100x the median), which is exactly
-/// the load shape stealing smooths out.
+/// A fixed-size pool of worker threads fed from one FIFO queue, built for
+/// the compilation service's function-level sharding: tasks are
+/// independent and either queued all up front (a batch, a fuzz campaign)
+/// or one request at a time (the daemon). Either way an idle worker takes
+/// the oldest waiting task, so a slow task never holds up the rest.
 ///
 /// Semantics:
-///   - submit() distributes tasks round-robin across the worker deques;
-///     an idle worker first drains its own deque front-to-back, then
-///     steals from the back of a sibling's deque.
+///   - submit() appends to the queue; any idle worker picks the task up.
 ///   - wait() blocks until every submitted task has finished and rethrows
 ///     the first exception any task raised (later exceptions are dropped,
 ///     but every task always runs to completion or throw).
@@ -25,19 +23,17 @@
 #ifndef FCC_SUPPORT_THREADPOOL_H
 #define FCC_SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace fcc {
 
-/// Fixed-size work-stealing thread pool.
+/// Fixed-size thread pool over one shared task queue.
 class ThreadPool {
 public:
   /// Spawns \p ThreadCount workers; 0 means the hardware concurrency
@@ -59,45 +55,25 @@ public:
   void wait();
 
   unsigned threadCount() const {
-    return static_cast<unsigned>(Workers.size());
+    return static_cast<unsigned>(Threads.size());
   }
 
-  /// Tasks executed by a worker other than the one they were queued on.
-  /// Monotonic; useful for tests and load diagnostics.
-  uint64_t tasksStolen() const { return Stolen.load(); }
-
 private:
-  /// One worker's deque. Each deque has its own lock so submission and
-  /// stealing never serialize the whole pool.
-  struct Worker {
-    std::mutex Lock;
-    std::deque<std::function<void()>> Queue;
-  };
+  void workerLoop();
 
-  void workerLoop(unsigned Self);
-  /// Pops from the front of \p W's own queue; null when empty.
-  std::function<void()> popOwn(Worker &W);
-  /// Steals from the back of some other worker's queue; null when all empty.
-  std::function<void()> steal(unsigned Self);
-  void runTask(std::function<void()> &Task);
-
-  std::vector<std::unique_ptr<Worker>> Workers;
-  std::vector<std::thread> Threads;
-
-  /// Guards the counters and flags below; WorkReady wakes idle workers,
-  /// AllDone wakes wait().
-  std::mutex PoolLock;
+  /// Guards the queue, counters and flags below; WorkReady wakes idle
+  /// workers, AllDone wakes wait().
+  std::mutex Lock;
   std::condition_variable WorkReady;
   std::condition_variable AllDone;
-  /// Submitted but not yet finished.
+  std::deque<std::function<void()>> Queue;
+  /// Submitted but not yet finished (queued or running).
   size_t Pending = 0;
-  /// Sitting in some deque, not yet picked up.
-  size_t Queued = 0;
   bool ShuttingDown = false;
   std::exception_ptr FirstError;
 
-  std::atomic<uint64_t> Stolen{0};
-  std::atomic<unsigned> NextQueue{0};
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> Threads;
 };
 
 } // namespace fcc

@@ -41,24 +41,6 @@ unsigned UnionFind::unite(unsigned A, unsigned B) {
   return A;
 }
 
-void UnionFind::compressAll() {
-  for (unsigned I = 0, E = size(); I != E; ++I)
-    (void)find(I);
-}
-
-void UnionFind::evict(unsigned X) {
-  assert(X < Parent.size() && "evict() out of range");
-  unsigned Root = find(X);
-  if (Root == X && Size[X] == 1)
-    return; // Already a singleton.
-  assert(Root != X &&
-         "evicting a set representative would orphan its members; "
-         "compressAll() and evict non-roots only");
-  Size[Root] -= 1;
-  Parent[X] = X;
-  Size[X] = 1;
-}
-
 LinkEvalForest::LinkEvalForest(unsigned NumVertices, const unsigned *Keys)
     : Ancestor(NumVertices, kRoot), Label(NumVertices), Keys(Keys) {
   for (unsigned I = 0; I != NumVertices; ++I)

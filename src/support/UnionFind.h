@@ -47,23 +47,8 @@ public:
   /// compression.
   unsigned unite(unsigned A, unsigned B);
 
-  /// True when \p A and \p B are currently in the same set.
-  bool connected(unsigned A, unsigned B) { return find(A) == find(B); }
-
   /// Number of elements in \p X's set.
   unsigned setSize(unsigned X) { return Size[find(X)]; }
-
-  /// Detaches \p X into a fresh singleton set. Only meaningful for elements
-  /// that are not the representative anchor of their set; the coalescer uses
-  /// this to "insert copies for" a member it evicts (Section 3.3). Children
-  /// previously compressed onto \p X keep pointing at \p X's old root because
-  /// eviction happens only after full compression of the set; call
-  /// compressAll() first when in doubt.
-  void evict(unsigned X);
-
-  /// Path-compresses every element so that all Parent entries point directly
-  /// at roots. Required before evict().
-  void compressAll();
 
   /// Bytes of memory held by the structure (for the paper's memory tables).
   size_t bytes() const {

@@ -174,12 +174,12 @@ TEST(LivenessLayoutTest, SpanLayoutBytesFollowTheLiveRanges) {
   std::vector<unsigned> Rpo = rpoNumbers(F);
   std::vector<unsigned> First(F.numVariables(), ~0u), Last(F.numVariables(), 0);
   for (const auto &B : F.blocks()) {
-    IndexSet Live = Dense.liveIn(B.get());
-    Live.unionWith(Dense.liveOut(B.get()));
-    Live.forEach([&](unsigned Id) {
+    auto Cover = [&](unsigned Id) {
       First[Id] = std::min(First[Id], Rpo[B->id()]);
       Last[Id] = std::max(Last[Id], Rpo[B->id()]);
-    });
+    };
+    Dense.liveIn(B.get()).forEach(Cover);
+    Dense.liveOut(B.get()).forEach(Cover);
   }
   size_t Words = 0;
   for (unsigned Id = 0; Id != F.numVariables(); ++Id)

@@ -260,7 +260,8 @@ TEST(FunctionTest, ErasedInstructionsArePoisonedUnderAddressSanitizer) {
   F.recomputePreds();
   Instruction *Phi = J->addPhi(F.makeInstruction(
       Opcode::Phi, Y, {Operand::var(X), Operand::var(Y)}));
-  J->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::var(Y)}));
+  Instruction *Ret =
+      J->append(F.makeInstruction(Opcode::Ret, nullptr, {Operand::var(Y)}));
   const Operand *CopyOps = &Copy->getOperand(0);
   const Operand *PhiOps = &Phi->getOperand(0);
 
@@ -276,9 +277,16 @@ TEST(FunctionTest, ErasedInstructionsArePoisonedUnderAddressSanitizer) {
                              static_cast<const void *>(DeadBr),
                              static_cast<const void *>(Phi),
                              static_cast<const void *>(CopyOps),
-                             static_cast<const void *>(PhiOps)})
+                             static_cast<const void *>(PhiOps),
+                             // The slot the phi gave up with the dead block.
+                             static_cast<const void *>(PhiOps + 1)})
     EXPECT_TRUE(__asan_address_is_poisoned(Erased)) << Erased;
   EXPECT_FALSE(__asan_address_is_poisoned(Kept));
+  // The pool placed the return right behind the phi's two operand slots,
+  // so poisoning past the phi's record would show here.
+  ASSERT_EQ(static_cast<const void *>(Ret),
+            static_cast<const void *>(PhiOps + 2));
+  EXPECT_FALSE(__asan_address_is_poisoned(Ret));
   EXPECT_EQ(Kept->getOperand(0).getImm(), 2);
   EXPECT_EQ(E->size(), 2u);
 #endif

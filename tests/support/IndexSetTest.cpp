@@ -26,39 +26,6 @@ TEST(IndexSetTest, TestOutOfUniverseIsFalse) {
   EXPECT_FALSE(S.test(100000));
 }
 
-TEST(IndexSetTest, UnionWithReportsGrowth) {
-  IndexSet A(64), B(64);
-  B.insert(3);
-  B.insert(17);
-  EXPECT_TRUE(A.unionWith(B));
-  EXPECT_FALSE(A.unionWith(B)) << "second union adds nothing";
-  EXPECT_TRUE(A.test(3));
-  EXPECT_TRUE(A.test(17));
-}
-
-TEST(IndexSetTest, SubtractRemovesMembers) {
-  IndexSet A(64), B(64);
-  A.insert(1);
-  A.insert(2);
-  B.insert(2);
-  B.insert(3);
-  A.subtract(B);
-  EXPECT_TRUE(A.test(1));
-  EXPECT_FALSE(A.test(2));
-}
-
-TEST(IndexSetTest, IntersectKeepsCommonMembers) {
-  IndexSet A(64), B(64);
-  A.insert(1);
-  A.insert(2);
-  B.insert(2);
-  B.insert(3);
-  A.intersectWith(B);
-  EXPECT_FALSE(A.test(1));
-  EXPECT_TRUE(A.test(2));
-  EXPECT_EQ(A.count(), 1u);
-}
-
 TEST(IndexSetTest, ForEachVisitsInIncreasingOrder) {
   IndexSet S(200);
   S.insert(190);
@@ -95,11 +62,4 @@ TEST(IndexSetTest, ResizeUniversePreservesMembers) {
   EXPECT_TRUE(S.test(63));
   S.insert(1000);
   EXPECT_TRUE(S.test(1000));
-}
-
-TEST(IndexSetTest, UnionFromSmallerUniverse) {
-  IndexSet A(1024), B(64);
-  B.insert(10);
-  EXPECT_TRUE(A.unionWith(B));
-  EXPECT_TRUE(A.test(10));
 }

@@ -32,21 +32,21 @@ TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {
   EXPECT_EQ(Count.load(), 1);
 }
 
-TEST(ThreadPoolTest, StealsFromABusyWorker) {
-  // Two workers; submission is round-robin, so the first (sleeping) task
-  // and half of the quick tasks land on worker 0's deque. Worker 1 drains
-  // its own deque in microseconds and can finish the rest before worker 0
-  // wakes only by stealing.
+TEST(ThreadPoolTest, IdleWorkerRunsTasksPastABusyOne) {
+  // Two workers: one sleeps in the first task while the other must run
+  // every quick task queued behind it before the sleeper wakes.
   ThreadPool Pool(2);
   std::atomic<int> Count{0};
-  Pool.submit([] {
+  std::atomic<int> CountWhenSlowEnded{-1};
+  Pool.submit([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    CountWhenSlowEnded.store(Count.load());
   });
   for (int I = 0; I != 200; ++I)
     Pool.submit([&Count] { Count.fetch_add(1); });
   Pool.wait();
   EXPECT_EQ(Count.load(), 200);
-  EXPECT_GT(Pool.tasksStolen(), 0u);
+  EXPECT_EQ(CountWhenSlowEnded.load(), 200);
 }
 
 TEST(ThreadPoolTest, TasksRunOnMultipleThreads) {

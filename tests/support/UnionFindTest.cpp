@@ -20,8 +20,8 @@ TEST(UnionFindTest, UniteMergesAndFindAgrees) {
   UnionFind UF(4);
   unsigned Root = UF.unite(0, 1);
   EXPECT_TRUE(Root == 0 || Root == 1);
-  EXPECT_TRUE(UF.connected(0, 1));
-  EXPECT_FALSE(UF.connected(0, 2));
+  EXPECT_EQ(UF.find(0), UF.find(1));
+  EXPECT_NE(UF.find(0), UF.find(2));
   EXPECT_EQ(UF.setSize(0), 2u);
   EXPECT_EQ(UF.setSize(1), 2u);
 }
@@ -38,7 +38,7 @@ TEST(UnionFindTest, GrowPreservesExistingSets) {
   UnionFind UF(2);
   UF.unite(0, 1);
   UF.grow(5);
-  EXPECT_TRUE(UF.connected(0, 1));
+  EXPECT_EQ(UF.find(0), UF.find(1));
   EXPECT_EQ(UF.find(4), 4u);
   EXPECT_EQ(UF.size(), 5u);
 }
@@ -48,9 +48,9 @@ TEST(UnionFindTest, TransitiveUnions) {
   UF.unite(0, 1);
   UF.unite(2, 3);
   UF.unite(1, 2);
-  EXPECT_TRUE(UF.connected(0, 3));
+  EXPECT_EQ(UF.find(0), UF.find(3));
   EXPECT_EQ(UF.setSize(3), 4u);
-  EXPECT_FALSE(UF.connected(0, 4));
+  EXPECT_NE(UF.find(0), UF.find(4));
 }
 
 TEST(UnionFindTest, FindConstMatchesFind) {
@@ -61,26 +61,6 @@ TEST(UnionFindTest, FindConstMatchesFind) {
   const UnionFind &CUF = UF;
   for (unsigned I = 0; I != 8; ++I)
     EXPECT_EQ(CUF.findConst(I), UF.find(I));
-}
-
-TEST(UnionFindTest, EvictDetachesNonRootMember) {
-  UnionFind UF(4);
-  UF.unite(0, 1);
-  UF.unite(0, 2);
-  UF.compressAll();
-  unsigned Root = UF.find(0);
-  unsigned Victim = Root == 2 ? 1 : 2;
-  UF.evict(Victim);
-  EXPECT_EQ(UF.find(Victim), Victim);
-  EXPECT_EQ(UF.setSize(Victim), 1u);
-  EXPECT_EQ(UF.setSize(Root), 2u);
-}
-
-TEST(UnionFindTest, EvictOnSingletonIsANoop) {
-  UnionFind UF(2);
-  UF.evict(1);
-  EXPECT_EQ(UF.find(1), 1u);
-  EXPECT_EQ(UF.setSize(1), 1u);
 }
 
 TEST(UnionFindTest, RandomizedAgainstNaiveReference) {
@@ -102,7 +82,7 @@ TEST(UnionFindTest, RandomizedAgainstNaiveReference) {
   }
   for (unsigned I = 0; I != N; ++I)
     for (unsigned J = I + 1; J < N; J += 7)
-      EXPECT_EQ(UF.connected(I, J), Ref[I] == Ref[J])
+      EXPECT_EQ(UF.find(I) == UF.find(J), Ref[I] == Ref[J])
           << "pair (" << I << ", " << J << ")";
 }
 

@@ -51,7 +51,6 @@
 
 #include <memory>
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -94,7 +93,6 @@ int usage(const char *Argv0) {
 bool parseArgs(int Argc, char **Argv, BatchOptions &Opts) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    uint64_t Value = 0;
     std::string Error;
     FlagParse Shared = parseServiceFlag(Arg, Opts.Service, Error);
     if (Shared == FlagParse::Invalid) {
@@ -104,37 +102,14 @@ bool parseArgs(int Argc, char **Argv, BatchOptions &Opts) {
     if (Shared == FlagParse::Parsed)
       continue;
     if (Arg.rfind("--jobs=", 0) == 0) {
-      // parseUint64Arg rejects a sign outright, so --jobs=-1 can never wrap
-      // into a huge thread count; the explicit range check keeps the later
-      // static_cast<unsigned> lossless.
-      if (!parseUint64Arg(Arg.substr(7), Value) ||
-          Value > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "bad --jobs value in '%s'\n", Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--jobs=", Opts.Service.Jobs))
         return false;
-      }
-      Opts.Service.Jobs = static_cast<unsigned>(Value);
     } else if (Arg.rfind("--generate=", 0) == 0) {
-      std::string Spec = Arg.substr(std::strlen("--generate="));
-      std::string CountPart = Spec;
-      size_t Colon = Spec.find(':');
-      if (Colon != std::string::npos) {
-        CountPart = Spec.substr(0, Colon);
-        if (!parseUint64Arg(Spec.substr(Colon + 1), Opts.GenerateSeed)) {
-          std::fprintf(stderr, "bad --generate seed in '%s'\n", Arg.c_str());
-          return false;
-        }
-      }
-      if (!parseUint64Arg(CountPart, Value) ||
-          Value > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "bad --generate count in '%s'\n", Arg.c_str());
+      if (!parseGenerateFlag(Arg, Opts.GenerateCount, Opts.GenerateSeed))
         return false;
-      }
-      Opts.GenerateCount = static_cast<unsigned>(Value);
     } else if (Arg.rfind("--seed=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(7), Opts.GenerateSeed)) {
-        std::fprintf(stderr, "bad --seed value in '%s'\n", Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--seed=", Opts.GenerateSeed))
         return false;
-      }
     } else if (Arg.rfind("--json=", 0) == 0) {
       Opts.JsonPath = Arg.substr(7);
     } else if (Arg.rfind("--trace=", 0) == 0) {
@@ -144,49 +119,29 @@ bool parseArgs(int Argc, char **Argv, BatchOptions &Opts) {
     } else if (Arg == "--cache") {
       Opts.UseCache = true;
     } else if (Arg.rfind("--cache=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(std::strlen("--cache=")), Value) ||
-          Value == 0) {
-        std::fprintf(stderr, "bad --cache value in '%s'\n", Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--cache=", Opts.CacheBytes, /*Min=*/1))
         return false;
-      }
       Opts.UseCache = true;
-      Opts.CacheBytes = static_cast<size_t>(Value);
     } else if (Arg == "--stats") {
       Opts.ShowStats = true;
       Opts.Service.CollectStats = true;
     } else if (Arg == "--quiet") {
       Opts.Quiet = true;
     } else if (Arg.rfind("--max-instructions=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(std::strlen("--max-instructions=")),
-                          Value) ||
-          Value > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "bad value in '%s'\n", Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--max-instructions=",
+                             Opts.Service.MaxUnitInstructions))
         return false;
-      }
-      Opts.Service.MaxUnitInstructions = static_cast<unsigned>(Value);
     } else if (Arg.rfind("--time-budget-ms=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(std::strlen("--time-budget-ms=")),
-                          Value)) {
-        std::fprintf(stderr, "bad value in '%s'\n", Arg.c_str());
+      // Bounded so that the budget in microseconds cannot wrap.
+      uint64_t Millis = 0;
+      if (!parseUnsignedFlag(Arg, "--time-budget-ms=", Millis, /*Min=*/0,
+                             std::numeric_limits<uint64_t>::max() / 1000))
         return false;
-      }
-      Opts.Service.MaxUnitMicros = Value * 1000;
+      Opts.Service.MaxUnitMicros = Millis * 1000;
     } else if (Arg == "--run") {
       Opts.Service.Execute = true;
-      // The next argument is the comma-separated list when it is not a
-      // flag; a leading '-' followed by a digit is a negative value, not a
-      // flag.
-      if (I + 1 < Argc &&
-          (Argv[I + 1][0] != '-' ||
-           std::isdigit(static_cast<unsigned char>(Argv[I + 1][1])))) {
-        std::string Args = Argv[++I];
-        std::string BadToken;
-        if (!splitIntList(Args, Opts.Service.ExecArgs, BadToken)) {
-          std::fprintf(stderr, "bad --run argument '%s'\n",
-                       BadToken.c_str());
-          return false;
-        }
-      }
+      if (!parseRunFlag(Argc, Argv, I, Opts.Service.ExecArgs))
+        return false;
     } else if (!Arg.empty() && Arg[0] != '-') {
       Opts.Paths.push_back(Arg);
     } else {

@@ -86,6 +86,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -617,7 +618,7 @@ int usage(const char *Argv0) {
 
 int main(int Argc, char **Argv) {
   std::string Suite, OutPath = "-";
-  int64_t WarmupOverride = -1, RepeatsOverride = -1;
+  std::optional<unsigned> WarmupOverride, RepeatsOverride;
   bool ListOnly = false;
   bool Quality = false;
 
@@ -628,21 +629,12 @@ int main(int Argc, char **Argv) {
     } else if (Arg.rfind("--out=", 0) == 0) {
       OutPath = Arg.substr(6);
     } else if (Arg.rfind("--warmup=", 0) == 0) {
-      uint64_t V = 0;
-      if (!parseUint64Arg(Arg.substr(9), V)) {
-        std::fprintf(stderr, "fcc-bench: bad --warmup argument '%s'\n",
-                     Arg.substr(9).c_str());
+      if (!parseUnsignedFlag(Arg, "--warmup=", WarmupOverride.emplace()))
         return 2;
-      }
-      WarmupOverride = static_cast<int64_t>(V);
     } else if (Arg.rfind("--repeats=", 0) == 0) {
-      uint64_t V = 0;
-      if (!parseUint64Arg(Arg.substr(10), V) || V == 0) {
-        std::fprintf(stderr, "fcc-bench: bad --repeats argument '%s'\n",
-                     Arg.substr(10).c_str());
+      if (!parseUnsignedFlag(Arg, "--repeats=", RepeatsOverride.emplace(),
+                             /*Min=*/1))
         return 2;
-      }
-      RepeatsOverride = static_cast<int64_t>(V);
     } else if (Arg == "--quality") {
       Quality = true;
     } else if (Arg == "--list") {
@@ -665,10 +657,10 @@ int main(int Argc, char **Argv) {
                  Suite.c_str());
     return usage(Argv[0]);
   }
-  if (WarmupOverride >= 0)
-    Params.Warmup = static_cast<unsigned>(WarmupOverride);
-  if (RepeatsOverride > 0)
-    Params.Repeats = static_cast<unsigned>(RepeatsOverride);
+  if (WarmupOverride)
+    Params.Warmup = *WarmupOverride;
+  if (RepeatsOverride)
+    Params.Repeats = *RepeatsOverride;
 
   if (Quality) {
     if (ListOnly) {

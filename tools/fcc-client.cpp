@@ -42,7 +42,6 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -80,33 +79,15 @@ int usage(const char *Argv0) {
 bool parseArgs(int Argc, char **Argv, ClientOptions &Opts) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    uint64_t Value = 0;
     if (Arg.rfind("--socket=", 0) == 0) {
       Opts.SocketPath = Arg.substr(std::strlen("--socket="));
     } else if (Arg.rfind("--generate=", 0) == 0) {
-      std::string Spec = Arg.substr(std::strlen("--generate="));
-      std::string CountPart = Spec;
-      size_t Colon = Spec.find(':');
-      if (Colon != std::string::npos) {
-        CountPart = Spec.substr(0, Colon);
-        if (!parseUint64Arg(Spec.substr(Colon + 1), Opts.GenerateSeed)) {
-          std::fprintf(stderr, "bad --generate seed in '%s'\n", Arg.c_str());
-          return false;
-        }
-      }
-      if (!parseUint64Arg(CountPart, Value) ||
-          Value > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "bad --generate count in '%s'\n", Arg.c_str());
+      if (!parseGenerateFlag(Arg, Opts.GenerateCount, Opts.GenerateSeed))
         return false;
-      }
-      Opts.GenerateCount = static_cast<unsigned>(Value);
     } else if (Arg.rfind("--window=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(std::strlen("--window=")), Value) ||
-          Value == 0 || Value > 4096) {
-        std::fprintf(stderr, "bad --window value in '%s'\n", Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--window=", Opts.Window, /*Min=*/1,
+                             /*Max=*/4096))
         return false;
-      }
-      Opts.Window = static_cast<unsigned>(Value);
     } else if (Arg.rfind("--json=", 0) == 0) {
       Opts.JsonPath = Arg.substr(7);
     } else if (Arg == "--expect-all-hits") {

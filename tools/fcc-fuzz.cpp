@@ -40,7 +40,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <string>
 
 using namespace fcc;
@@ -64,20 +63,6 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-bool parseUnsignedFlag(const std::string &Arg, const char *Flag,
-                       unsigned &Out) {
-  uint64_t Value = 0;
-  if (!parseUint64Arg(Arg.substr(std::strlen(Flag)), Value) ||
-      Value > std::numeric_limits<unsigned>::max()) {
-    std::fprintf(stderr, "bad %s value in '%s'\n",
-                 std::string(Flag, std::strlen(Flag) - 1).c_str(),
-                 Arg.c_str());
-    return false;
-  }
-  Out = static_cast<unsigned>(Value);
-  return true;
-}
-
 bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -85,10 +70,8 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       if (!parseUnsignedFlag(Arg, "--runs=", Opts.Fuzz.Runs))
         return false;
     } else if (Arg.rfind("--seed=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(7), Opts.Fuzz.Seed)) {
-        std::fprintf(stderr, "bad --seed value in '%s'\n", Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--seed=", Opts.Fuzz.Seed))
         return false;
-      }
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       if (!parseUnsignedFlag(Arg, "--jobs=", Opts.Fuzz.Jobs))
         return false;
@@ -104,12 +87,9 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
         return false;
       }
     } else if (Arg.rfind("--time-budget=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(std::strlen("--time-budget=")),
-                          Opts.Fuzz.TimeBudgetSeconds)) {
-        std::fprintf(stderr, "bad --time-budget value in '%s'\n",
-                     Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--time-budget=",
+                             Opts.Fuzz.TimeBudgetSeconds))
         return false;
-      }
     } else if (Arg.rfind("--max-findings=", 0) == 0) {
       if (!parseUnsignedFlag(Arg, "--max-findings=", Opts.Fuzz.MaxFindings))
         return false;

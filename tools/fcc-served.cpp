@@ -36,11 +36,9 @@
 #include "server/Server.h"
 #include "support/ArgParse.h"
 
-#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 
 #include <unistd.h>
@@ -75,7 +73,6 @@ int usage(const char *Argv0) {
 bool parseArgs(int Argc, char **Argv, Server::Options &Opts, bool &Quiet) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    uint64_t Value = 0;
     std::string Error;
     FlagParse Shared = parseServiceFlag(Arg, Opts.Service, Error);
     if (Shared == FlagParse::Invalid) {
@@ -87,49 +84,23 @@ bool parseArgs(int Argc, char **Argv, Server::Options &Opts, bool &Quiet) {
     if (Arg.rfind("--socket=", 0) == 0) {
       Opts.SocketPath = Arg.substr(std::strlen("--socket="));
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(7), Value) ||
-          Value > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "bad --jobs value in '%s'\n", Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--jobs=", Opts.Jobs))
         return false;
-      }
-      Opts.Jobs = static_cast<unsigned>(Value);
     } else if (Arg.rfind("--cache-bytes=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(std::strlen("--cache-bytes=")),
-                          Value) ||
-          Value == 0) {
-        std::fprintf(stderr, "bad --cache-bytes value in '%s'\n",
-                     Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--cache-bytes=", Opts.CacheBytes,
+                             /*Min=*/1))
         return false;
-      }
-      Opts.CacheBytes = static_cast<size_t>(Value);
     } else if (Arg.rfind("--max-queue=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(std::strlen("--max-queue=")), Value) ||
-          Value == 0 || Value > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "bad --max-queue value in '%s'\n", Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--max-queue=", Opts.MaxQueue, /*Min=*/1))
         return false;
-      }
-      Opts.MaxQueue = static_cast<unsigned>(Value);
     } else if (Arg.rfind("--max-instructions=", 0) == 0) {
-      if (!parseUint64Arg(Arg.substr(std::strlen("--max-instructions=")),
-                          Value) ||
-          Value > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "bad value in '%s'\n", Arg.c_str());
+      if (!parseUnsignedFlag(Arg, "--max-instructions=",
+                             Opts.Service.MaxUnitInstructions))
         return false;
-      }
-      Opts.Service.MaxUnitInstructions = static_cast<unsigned>(Value);
     } else if (Arg == "--run") {
       Opts.Service.Execute = true;
-      if (I + 1 < Argc &&
-          (Argv[I + 1][0] != '-' ||
-           std::isdigit(static_cast<unsigned char>(Argv[I + 1][1])))) {
-        std::string Args = Argv[++I];
-        std::string BadToken;
-        if (!splitIntList(Args, Opts.Service.ExecArgs, BadToken)) {
-          std::fprintf(stderr, "bad --run argument '%s'\n",
-                       BadToken.c_str());
-          return false;
-        }
-      }
+      if (!parseRunFlag(Argc, Argv, I, Opts.Service.ExecArgs))
+        return false;
     } else if (Arg == "--quiet") {
       Quiet = true;
     } else {
