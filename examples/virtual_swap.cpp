@@ -19,8 +19,8 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
+#include "ssa/ParallelCopy.h"
 #include "ssa/SSABuilder.h"
-#include "ssa/StandardDestruction.h"
 #include "support/Stats.h"
 
 #include <cstdio>
@@ -105,7 +105,7 @@ int main() {
     SSABuildOptions Opts;
     Opts.FoldCopies = true;
     buildSSA(F, DT, Opts);
-    DestructionStats Stats = destroySSAStandard(F);
+    DestructionStats Stats = lowerPhis(F, [](Variable *V) { return V; });
     std::printf("\n== Standard instantiation (Figure 3c, %u copies) ==\n%s\n",
                 Stats.CopiesInserted, printFunction(F).c_str());
     for (int64_t Cond : {1, 0}) {

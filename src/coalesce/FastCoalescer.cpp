@@ -607,35 +607,6 @@ void FastCoalescer::resolveLocalInterference() {
 FastCoalesceStats FastCoalescer::rewrite() {
   computePartition();
   PhaseScope Phase(Opts.Instr, "fast.rewrite", "coalesce");
-  unsigned TempCounter = 0;
-
-  // The Waiting array of Section 3: per-block pending copies derived from
-  // the final partition. Copies for the edge pred -> b sit in Waiting[pred];
-  // with critical edges split, pred reaches only b, so "end of pred" is
-  // exactly "on the edge".
-  std::vector<std::vector<CopyTask>> Waiting(F.numBlocks());
-  for (const auto &B : F.blocks()) {
-    for (const auto &Phi : B->phis()) {
-      Variable *DstRep = rep(Phi->getDef());
-      for (unsigned Idx = 0, E = Phi->getNumOperands(); Idx != E; ++Idx) {
-        const Operand &O = Phi->getOperand(Idx);
-        BasicBlock *Pred = B->preds()[Idx];
-        if (O.isImm()) {
-          Waiting[Pred->id()].push_back({DstRep, O});
-          continue;
-        }
-        Variable *SrcRep = rep(O.getVar());
-        if (SrcRep == DstRep)
-          continue; // Coalesced: the value is already in place.
-        for ([[maybe_unused]] const CopyTask &T : Waiting[Pred->id()])
-          assert(T.Dst != DstRep && "two phis writing one location on an "
-                                    "edge: partition is unsound");
-        Waiting[Pred->id()].push_back({DstRep, Operand::var(SrcRep)});
-      }
-    }
-  }
-  for (const auto &Tasks : Waiting)
-    Stats.PeakBytes += Tasks.capacity() * sizeof(CopyTask);
 
   // Count surviving multi-member sets before renaming.
   {
@@ -664,28 +635,12 @@ FastCoalesceStats FastCoalescer::rewrite() {
     });
   }
 
-  // Materialize the pending copies and delete the phis.
-  for (unsigned Id = 0, E = F.numBlocks(); Id != E; ++Id) {
-    if (Waiting[Id].empty())
-      continue;
-    SequencedCopies Seq =
-        sequentializeParallelCopy(Waiting[Id], F, TempCounter);
-#ifdef FCC_FUZZ_PLANT_BUG
-    // Deliberate off-by-one for the fuzzing acceptance test (the fcc_planted
-    // library only): drop the last sequenced copy of every parallel-copy
-    // group. The partition audit runs before this point, so only the
-    // differential oracle's dynamic comparison can catch it.
-    if (!Seq.Insts.empty())
-      Seq.Insts.pop_back();
-#endif
-    Stats.CopiesInserted += static_cast<unsigned>(Seq.Insts.size());
-    Stats.TempsUsed += Seq.TempsUsed;
-    BasicBlock *Pred = F.block(Id);
-    for (Instruction *I : Seq.Insts)
-      Pred->insertBeforeTerminator(I);
-  }
-  for (const auto &B : F.blocks())
-    B->erasePhisIf([](const Instruction &) { return true; });
+  // Phis still carry SSA names: lower them to copies between the sets'
+  // locations (the Waiting array of Section 3.6).
+  DestructionStats Lowered = lowerPhis(F, [&](Variable *V) { return rep(V); });
+  Stats.CopiesInserted += Lowered.CopiesInserted;
+  Stats.TempsUsed += Lowered.TempsUsed;
+  Stats.PeakBytes += Lowered.PeakBytes;
 
   if (Opts.Instr && Opts.Instr->Stats) {
     StatsRegistry &R = *Opts.Instr->Stats;

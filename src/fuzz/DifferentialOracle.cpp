@@ -19,8 +19,8 @@
 #include "pipeline/Pipeline.h"
 #include "regalloc/GraphColoringAllocator.h"
 #include "regalloc/SpillRewriter.h"
+#include "ssa/ParallelCopy.h"
 #include "ssa/SSABuilder.h"
-#include "ssa/StandardDestruction.h"
 #include "support/SplitMix64.h"
 
 #include <cstring>
@@ -170,7 +170,7 @@ bool runConfig(Function &F, const OracleConfig &C, std::string &Error) {
 
   switch (C.Destruct) {
   case DestructKind::Standard:
-    destroySSAStandard(F);
+    lowerPhis(F, [](Variable *V) { return V; });
     return true;
   case DestructKind::Fast:
   case DestructKind::FastChecked: {

@@ -99,47 +99,33 @@ void executeRun(unsigned RunIndex, const FuzzOptions &Opts, RunSlot &Slot) {
   Slot.Finding = std::move(F);
 }
 
-// --- JSON emission (same idiom as service/BatchReport) ------------------===//
-
-void appendStr(std::string &Out, const char *Key, const std::string &Value) {
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  appendJsonEscaped(Out, Value);
-}
-
-void appendNum(std::string &Out, const char *Key, uint64_t Value) {
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(Value);
-}
+// --- JSON emission ------------------------------------------------------===//
 
 void appendFinding(std::string &Out, const FuzzFinding &F) {
   Out += '{';
-  appendNum(Out, "run", F.RunIndex);
+  appendJsonNum(Out, "run", F.RunIndex);
   Out += ',';
-  appendNum(Out, "program_seed", F.ProgramSeed);
+  appendJsonNum(Out, "program_seed", F.ProgramSeed);
   Out += ',';
-  appendStr(Out, "kind", F.Kind);
+  appendJsonStr(Out, "kind", F.Kind);
   Out += ',';
-  appendStr(Out, "config", F.Config);
+  appendJsonStr(Out, "config", F.Config);
   Out += ',';
-  appendStr(Out, "detail", F.Detail);
+  appendJsonStr(Out, "detail", F.Detail);
   Out += ',';
-  appendStr(Out, "repro", F.ReproFile);
+  appendJsonStr(Out, "repro", F.ReproFile);
   Out += ",\"reduction\":{";
-  appendNum(Out, "rounds", F.Reduction.Rounds);
+  appendJsonNum(Out, "rounds", F.Reduction.Rounds);
   Out += ',';
-  appendNum(Out, "candidates", F.Reduction.CandidatesTried);
+  appendJsonNum(Out, "candidates", F.Reduction.CandidatesTried);
   Out += ',';
-  appendNum(Out, "blocks_before", F.Reduction.BlocksBefore);
+  appendJsonNum(Out, "blocks_before", F.Reduction.BlocksBefore);
   Out += ',';
-  appendNum(Out, "blocks_after", F.Reduction.BlocksAfter);
+  appendJsonNum(Out, "blocks_after", F.Reduction.BlocksAfter);
   Out += ',';
-  appendNum(Out, "insts_before", F.Reduction.InstsBefore);
+  appendJsonNum(Out, "insts_before", F.Reduction.InstsBefore);
   Out += ',';
-  appendNum(Out, "insts_after", F.Reduction.InstsAfter);
+  appendJsonNum(Out, "insts_after", F.Reduction.InstsAfter);
   Out += "}}";
 }
 
@@ -150,15 +136,15 @@ std::string FuzzReport::toJson() const {
   // (seed, runs) pair. fcc-fuzz's determinism smoke test depends on it.
   std::string Out;
   Out += '{';
-  appendStr(Out, "schema", "fcc-fuzz-1");
+  appendJsonStr(Out, "schema", "fcc-fuzz-1");
   Out += ',';
-  appendNum(Out, "seed", MasterSeed);
+  appendJsonNum(Out, "seed", MasterSeed);
   Out += ',';
-  appendNum(Out, "runs", RunsRequested);
+  appendJsonNum(Out, "runs", RunsRequested);
   Out += ',';
-  appendNum(Out, "completed", RunsCompleted);
+  appendJsonNum(Out, "completed", RunsCompleted);
   Out += ',';
-  appendNum(Out, "rejected_inputs", InputsRejected);
+  appendJsonNum(Out, "rejected_inputs", InputsRejected);
   Out += ",\"findings\":[";
   for (size_t I = 0; I != Findings.size(); ++I) {
     if (I)

@@ -8,37 +8,6 @@
 
 using namespace fcc;
 
-namespace {
-
-int64_t wrapAdd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapSub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapMul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
-int64_t safeDiv(int64_t A, int64_t B) {
-  if (B == 0)
-    return 0;
-  if (A == INT64_MIN && B == -1)
-    return INT64_MIN; // Wraps; defined here rather than UB.
-  return A / B;
-}
-int64_t safeMod(int64_t A, int64_t B) {
-  if (B == 0)
-    return 0;
-  if (A == INT64_MIN && B == -1)
-    return 0;
-  return A % B;
-}
-
-} // namespace
-
 ExecutionResult Interpreter::run(const Function &F,
                                  const std::vector<int64_t> &Args) const {
   assert(MemoryWords != 0 && "interpreter needs at least one memory word");
@@ -102,52 +71,23 @@ ExecutionResult Interpreter::run(const Function &F,
         ++Result.CopiesExecuted;
         Regs[I->getDef()->id()] = Eval(I->getOperand(0));
         break;
-      case Opcode::Add:
-        Regs[I->getDef()->id()] =
-            wrapAdd(Eval(I->getOperand(0)), Eval(I->getOperand(1)));
-        break;
-      case Opcode::Sub:
-        Regs[I->getDef()->id()] =
-            wrapSub(Eval(I->getOperand(0)), Eval(I->getOperand(1)));
-        break;
-      case Opcode::Mul:
-        Regs[I->getDef()->id()] =
-            wrapMul(Eval(I->getOperand(0)), Eval(I->getOperand(1)));
-        break;
-      case Opcode::Div:
-        Regs[I->getDef()->id()] =
-            safeDiv(Eval(I->getOperand(0)), Eval(I->getOperand(1)));
-        break;
-      case Opcode::Mod:
-        Regs[I->getDef()->id()] =
-            safeMod(Eval(I->getOperand(0)), Eval(I->getOperand(1)));
-        break;
       case Opcode::Neg:
-        Regs[I->getDef()->id()] = wrapSub(0, Eval(I->getOperand(0)));
+        Regs[I->getDef()->id()] =
+            evalBinary(Opcode::Sub, 0, Eval(I->getOperand(0)));
         break;
+      case Opcode::Add:
+      case Opcode::Sub:
+      case Opcode::Mul:
+      case Opcode::Div:
+      case Opcode::Mod:
       case Opcode::CmpEq:
-        Regs[I->getDef()->id()] =
-            Eval(I->getOperand(0)) == Eval(I->getOperand(1));
-        break;
       case Opcode::CmpNe:
-        Regs[I->getDef()->id()] =
-            Eval(I->getOperand(0)) != Eval(I->getOperand(1));
-        break;
       case Opcode::CmpLt:
-        Regs[I->getDef()->id()] =
-            Eval(I->getOperand(0)) < Eval(I->getOperand(1));
-        break;
       case Opcode::CmpLe:
-        Regs[I->getDef()->id()] =
-            Eval(I->getOperand(0)) <= Eval(I->getOperand(1));
-        break;
       case Opcode::CmpGt:
-        Regs[I->getDef()->id()] =
-            Eval(I->getOperand(0)) > Eval(I->getOperand(1));
-        break;
       case Opcode::CmpGe:
-        Regs[I->getDef()->id()] =
-            Eval(I->getOperand(0)) >= Eval(I->getOperand(1));
+        Regs[I->getDef()->id()] = evalBinary(
+            I->opcode(), Eval(I->getOperand(0)), Eval(I->getOperand(1)));
         break;
       case Opcode::Load:
         Regs[I->getDef()->id()] =

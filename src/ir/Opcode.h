@@ -11,6 +11,9 @@
 #ifndef FCC_IR_OPCODE_H
 #define FCC_IR_OPCODE_H
 
+#include <cassert>
+#include <cstdint>
+
 namespace fcc {
 
 /// Operation kinds. Keep Opcode::NumOpcodes last.
@@ -115,6 +118,44 @@ constexpr unsigned opcodeNumSuccessors(Opcode Op) {
   case Opcode::CondBr:
     return 2;
   default:
+    return 0;
+  }
+}
+
+/// The value of a binary opcode (Add through CmpGe) on \p A and \p B, in the
+/// IR's total semantics: two's-complement wraparound, x / 0 = x % 0 = 0,
+/// INT64_MIN / -1 = INT64_MIN and INT64_MIN % -1 = 0. Neg x is Sub 0, x.
+/// The interpreter executes with it and SCCP folds with it, so folded code
+/// agrees with executed code bit for bit.
+constexpr int64_t evalBinary(Opcode Op, int64_t A, int64_t B) {
+  uint64_t UA = static_cast<uint64_t>(A), UB = static_cast<uint64_t>(B);
+  switch (Op) {
+  case Opcode::Add:
+    return static_cast<int64_t>(UA + UB);
+  case Opcode::Sub:
+    return static_cast<int64_t>(UA - UB);
+  case Opcode::Mul:
+    return static_cast<int64_t>(UA * UB);
+  case Opcode::Div:
+    if (B == 0)
+      return 0;
+    return A == INT64_MIN && B == -1 ? INT64_MIN : A / B;
+  case Opcode::Mod:
+    return B == 0 || (A == INT64_MIN && B == -1) ? 0 : A % B;
+  case Opcode::CmpEq:
+    return A == B;
+  case Opcode::CmpNe:
+    return A != B;
+  case Opcode::CmpLt:
+    return A < B;
+  case Opcode::CmpLe:
+    return A <= B;
+  case Opcode::CmpGt:
+    return A > B;
+  case Opcode::CmpGe:
+    return A >= B;
+  default:
+    assert(false && "not a binary opcode");
     return 0;
   }
 }

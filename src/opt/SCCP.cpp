@@ -8,7 +8,6 @@
 #include "ir/Function.h"
 #include "ir/Variable.h"
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -17,76 +16,6 @@
 using namespace fcc;
 
 namespace {
-
-// Folding must agree bit for bit with interp/Interpreter.cpp: two's-
-// complement wrap via unsigned arithmetic, total division (x/0 = x%0 = 0,
-// INT64_MIN/-1 wraps, INT64_MIN%-1 = 0).
-int64_t wrapAdd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapSub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapMul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
-int64_t safeDiv(int64_t A, int64_t B) {
-  if (B == 0)
-    return 0;
-  if (A == INT64_MIN && B == -1)
-    return INT64_MIN;
-  return A / B;
-}
-int64_t safeMod(int64_t A, int64_t B) {
-  if (B == 0)
-    return 0;
-  if (A == INT64_MIN && B == -1)
-    return 0;
-  return A % B;
-}
-
-bool foldBinary(Opcode Op, int64_t A, int64_t B, int64_t &Out) {
-  switch (Op) {
-  case Opcode::Add:
-    Out = wrapAdd(A, B);
-    return true;
-  case Opcode::Sub:
-    Out = wrapSub(A, B);
-    return true;
-  case Opcode::Mul:
-    Out = wrapMul(A, B);
-    return true;
-  case Opcode::Div:
-    Out = safeDiv(A, B);
-    return true;
-  case Opcode::Mod:
-    Out = safeMod(A, B);
-    return true;
-  case Opcode::CmpEq:
-    Out = A == B;
-    return true;
-  case Opcode::CmpNe:
-    Out = A != B;
-    return true;
-  case Opcode::CmpLt:
-    Out = A < B;
-    return true;
-  case Opcode::CmpLe:
-    Out = A <= B;
-    return true;
-  case Opcode::CmpGt:
-    Out = A > B;
-    return true;
-  case Opcode::CmpGe:
-    Out = A >= B;
-    return true;
-  default:
-    return false;
-  }
-}
 
 /// The Wegman–Zadeck three-level lattice.
 struct LatticeValue {
@@ -227,7 +156,7 @@ private:
     case Opcode::Neg: {
       LatticeValue In = eval(I.getOperand(0));
       if (In.State == LatticeValue::Constant)
-        In.Value = wrapSub(0, In.Value);
+        In.Value = evalBinary(Opcode::Sub, 0, In.Value);
       lower(I.getDef(), In);
       return;
     }
@@ -254,7 +183,8 @@ private:
     case Opcode::Spill:
       return;
     default: {
-      // Binary arithmetic and comparisons.
+      // Binary arithmetic and comparisons, folded with the interpreter's
+      // evaluator (ir/Opcode.h).
       LatticeValue A = eval(I.getOperand(0));
       LatticeValue B = eval(I.getOperand(1));
       if (A.State == LatticeValue::Bottom || B.State == LatticeValue::Bottom) {
@@ -263,11 +193,8 @@ private:
       }
       if (A.State == LatticeValue::Top || B.State == LatticeValue::Top)
         return;
-      int64_t Out = 0;
-      bool Folded = foldBinary(I.opcode(), A.Value, B.Value, Out);
-      assert(Folded && "unhandled opcode in SCCP transfer function");
-      (void)Folded;
-      lower(I.getDef(), {LatticeValue::Constant, Out});
+      lower(I.getDef(), {LatticeValue::Constant,
+                         evalBinary(I.opcode(), A.Value, B.Value)});
       return;
     }
     }

@@ -11,8 +11,8 @@
 #include "ir/Function.h"
 #include "ir/Module.h"
 #include "regalloc/SpillRewriter.h"
+#include "ssa/ParallelCopy.h"
 #include "ssa/SSABuilder.h"
-#include "ssa/StandardDestruction.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -137,7 +137,7 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
     DestructionStats Destr;
     {
       PhaseScope P(Instr, "rewrite", "pipeline", Ph);
-      Destr = destroySSAStandard(F);
+      Destr = lowerPhis(F, [](Variable *V) { return V; });
     }
     DestroyBytes = Destr.PeakBytes;
     break;

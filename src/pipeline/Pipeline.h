@@ -21,7 +21,7 @@
 /// concurrently from multiple threads as long as each call operates on a
 /// distinct Function (for runOnRoutine, each call materializes its own
 /// Module). Every pass and analysis in the repository — SSABuilder,
-/// Liveness, DominatorTree, FastCoalescer, StandardDestruction, the Briggs
+/// Liveness, DominatorTree, FastCoalescer, the phi lowering, the Briggs
 /// coalescers, the verifier, the interpreter and the generator — keeps all
 /// mutable state in objects scoped to one call; the only function-local
 /// statics in the library are immutable (constexpr opcode tables in the

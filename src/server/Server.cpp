@@ -3,6 +3,7 @@
 #include "server/Server.h"
 
 #include "server/Json.h"
+#include "support/JsonEscape.h"
 #include "support/ThreadPool.h"
 
 #include <cerrno>
@@ -118,16 +119,17 @@ std::string Server::statsJson(int64_t Id) const {
   ResultCache::Occupancy O = Cache->occupancy();
   std::string Out = "{\"id\":" + std::to_string(Id) +
                     ",\"status\":\"ok\",\"stats\":{";
-  Out += "\"accepted\":" + std::to_string(Accepted.load());
-  Out += ",\"rejected\":" + std::to_string(Rejected.load());
-  Out += ",\"hits\":" + std::to_string(Hits.load());
-  Out += ",\"misses\":" + std::to_string(Misses.load());
-  Out += ",\"failed\":" + std::to_string(Failed.load());
-  Out += ",\"cache_bytes\":" + std::to_string(O.Bytes);
-  Out += ",\"cache_entries\":" + std::to_string(O.Entries);
-  Out += ",\"evictions\":" + std::to_string(O.Evictions);
-  Out += ",\"insertions\":" + std::to_string(O.Insertions);
-  Out += ",\"jobs\":" + std::to_string(Pool->threadCount());
+  const std::pair<const char *, uint64_t> Fields[] = {
+      {"accepted", Accepted.load()}, {"rejected", Rejected.load()},
+      {"hits", Hits.load()},         {"misses", Misses.load()},
+      {"failed", Failed.load()},     {"cache_bytes", O.Bytes},
+      {"cache_entries", O.Entries},  {"evictions", O.Evictions},
+      {"insertions", O.Insertions},  {"jobs", Pool->threadCount()}};
+  for (size_t I = 0; I != std::size(Fields); ++I) {
+    if (I)
+      Out += ',';
+    appendJsonNum(Out, Fields[I].first, Fields[I].second);
+  }
   Out += "}}";
   return Out;
 }

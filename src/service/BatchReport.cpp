@@ -63,69 +63,53 @@ BatchTotals BatchReport::totals() const {
 
 namespace {
 
-void appendKey(std::string &Out, const char *Key) {
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-}
-
-void appendNum(std::string &Out, const char *Key, uint64_t Value) {
-  appendKey(Out, Key);
-  Out += std::to_string(Value);
-}
-
-void appendStr(std::string &Out, const char *Key, const std::string &Value) {
-  appendKey(Out, Key);
-  appendJsonEscaped(Out, Value);
-}
-
 void appendFunction(std::string &Out, const FunctionRecord &F,
                     bool IncludeTimings) {
   Out += '{';
-  appendStr(Out, "name", F.Name);
+  appendJsonStr(Out, "name", F.Name);
   Out += ',';
-  appendNum(Out, "input_instructions", F.InputInstructions);
+  appendJsonNum(Out, "input_instructions", F.InputInstructions);
   Out += ',';
-  appendNum(Out, "input_copies", F.InputStaticCopies);
+  appendJsonNum(Out, "input_copies", F.InputStaticCopies);
   Out += ',';
-  appendNum(Out, "phis", F.Compile.PhisInserted);
+  appendJsonNum(Out, "phis", F.Compile.PhisInserted);
   Out += ',';
-  appendNum(Out, "critical_edges_split", F.Compile.CriticalEdgesSplit);
+  appendJsonNum(Out, "critical_edges_split", F.Compile.CriticalEdgesSplit);
   Out += ',';
-  appendNum(Out, "copies_left", F.Compile.StaticCopies);
+  appendJsonNum(Out, "copies_left", F.Compile.StaticCopies);
   Out += ',';
-  appendNum(Out, "peak_bytes", F.Compile.PeakBytes);
+  appendJsonNum(Out, "peak_bytes", F.Compile.PeakBytes);
   if (F.Compile.Allocated) {
     // Allocation columns exist only for machine-targeted runs, so reports
     // without --machine keep their pre-allocator byte layout.
     Out += ',';
-    appendNum(Out, "registers_used", F.Compile.RegistersUsed);
+    appendJsonNum(Out, "registers_used", F.Compile.RegistersUsed);
     Out += ',';
-    appendNum(Out, "spill_stores", F.Compile.SpillStores);
+    appendJsonNum(Out, "spill_stores", F.Compile.SpillStores);
     Out += ',';
-    appendNum(Out, "reloads", F.Compile.Reloads);
+    appendJsonNum(Out, "reloads", F.Compile.Reloads);
     Out += ',';
-    appendNum(Out, "spill_slots", F.Compile.SpillSlots);
+    appendJsonNum(Out, "spill_slots", F.Compile.SpillSlots);
     Out += ',';
-    appendNum(Out, "ranges_split", F.Compile.RangesSplit);
+    appendJsonNum(Out, "ranges_split", F.Compile.RangesSplit);
     Out += ',';
-    appendNum(Out, "regalloc_iterations", F.Compile.RegallocIterations);
+    appendJsonNum(Out, "regalloc_iterations", F.Compile.RegallocIterations);
   }
   if (IncludeTimings) {
     Out += ',';
-    appendNum(Out, "time_us", F.Compile.TimeMicros);
+    appendJsonNum(Out, "time_us", F.Compile.TimeMicros);
     if (!F.Compile.Phases.empty()) {
       Out += ',';
-      appendKey(Out, "phases");
+      appendJsonKey(Out, "phases");
       Out += '[';
       for (size_t I = 0; I != F.Compile.Phases.size(); ++I) {
         const PhaseSample &P = F.Compile.Phases[I];
         if (I)
           Out += ',';
         Out += '{';
-        appendStr(Out, "name", P.Name);
+        appendJsonStr(Out, "name", P.Name);
         Out += ',';
-        appendNum(Out, "us", P.Micros);
+        appendJsonNum(Out, "us", P.Micros);
         Out += '}';
       }
       Out += ']';
@@ -133,20 +117,20 @@ void appendFunction(std::string &Out, const FunctionRecord &F,
   }
   if (F.Executed) {
     Out += ',';
-    appendKey(Out, "exec");
+    appendJsonKey(Out, "exec");
     Out += '{';
-    appendKey(Out, "completed");
+    appendJsonKey(Out, "completed");
     Out += F.Exec.Completed ? "true" : "false";
     Out += ',';
-    appendKey(Out, "return");
+    appendJsonKey(Out, "return");
     Out += std::to_string(F.Exec.ReturnValue);
     Out += ',';
-    appendNum(Out, "instructions", F.Exec.InstructionsExecuted);
+    appendJsonNum(Out, "instructions", F.Exec.InstructionsExecuted);
     Out += ',';
-    appendNum(Out, "copies", F.Exec.CopiesExecuted);
+    appendJsonNum(Out, "copies", F.Exec.CopiesExecuted);
     if (F.Compile.Allocated) {
       Out += ',';
-      appendNum(Out, "spill_ops", F.Exec.SpillOpsExecuted);
+      appendJsonNum(Out, "spill_ops", F.Exec.SpillOpsExecuted);
     }
     Out += '}';
   }
@@ -158,25 +142,25 @@ void appendFunction(std::string &Out, const FunctionRecord &F,
 void fcc::appendUnitJson(std::string &Out, const UnitReport &U,
                          bool IncludeTimings) {
   Out += '{';
-  appendNum(Out, "index", U.Index);
+  appendJsonNum(Out, "index", U.Index);
   Out += ',';
-  appendStr(Out, "name", U.Name);
+  appendJsonStr(Out, "name", U.Name);
   if (!U.Path.empty()) {
     Out += ',';
-    appendStr(Out, "path", U.Path);
+    appendJsonStr(Out, "path", U.Path);
   }
   Out += ',';
-  appendStr(Out, "status", unitStatusName(U.Status));
+  appendJsonStr(Out, "status", unitStatusName(U.Status));
   if (!U.ok()) {
     Out += ',';
-    appendStr(Out, "error", U.Error);
+    appendJsonStr(Out, "error", U.Error);
   }
   if (IncludeTimings) {
     Out += ',';
-    appendNum(Out, "time_us", U.TotalMicros);
+    appendJsonNum(Out, "time_us", U.TotalMicros);
   }
   Out += ',';
-  appendKey(Out, "functions");
+  appendJsonKey(Out, "functions");
   Out += '[';
   for (size_t I = 0; I != U.Functions.size(); ++I) {
     if (I)
@@ -189,13 +173,13 @@ void fcc::appendUnitJson(std::string &Out, const UnitReport &U,
 std::string BatchReport::toJson(bool IncludeTimings) const {
   std::string Out;
   Out += '{';
-  appendStr(Out, "pipeline", pipelineName(Kind));
+  appendJsonStr(Out, "pipeline", pipelineName(Kind));
   if (IncludeTimings) {
     Out += ',';
-    appendNum(Out, "jobs", Jobs);
+    appendJsonNum(Out, "jobs", Jobs);
   }
   Out += ',';
-  appendKey(Out, "units");
+  appendJsonKey(Out, "units");
   Out += '[';
   for (size_t I = 0; I != Units.size(); ++I) {
     if (I)
@@ -206,46 +190,46 @@ std::string BatchReport::toJson(bool IncludeTimings) const {
 
   BatchTotals T = totals();
   Out += ',';
-  appendKey(Out, "totals");
+  appendJsonKey(Out, "totals");
   Out += '{';
-  appendNum(Out, "units", T.Units);
+  appendJsonNum(Out, "units", T.Units);
   Out += ',';
-  appendNum(Out, "ok", T.Units - T.Failed);
+  appendJsonNum(Out, "ok", T.Units - T.Failed);
   Out += ',';
-  appendNum(Out, "failed", T.Failed);
+  appendJsonNum(Out, "failed", T.Failed);
   Out += ',';
-  appendNum(Out, "functions", T.Functions);
+  appendJsonNum(Out, "functions", T.Functions);
   Out += ',';
-  appendNum(Out, "input_copies", T.InputStaticCopies);
+  appendJsonNum(Out, "input_copies", T.InputStaticCopies);
   Out += ',';
-  appendNum(Out, "copies_left", T.StaticCopiesLeft);
+  appendJsonNum(Out, "copies_left", T.StaticCopiesLeft);
   Out += ',';
-  appendNum(Out, "phis", T.PhisInserted);
+  appendJsonNum(Out, "phis", T.PhisInserted);
   Out += ',';
-  appendNum(Out, "max_peak_bytes", T.MaxPeakBytes);
+  appendJsonNum(Out, "max_peak_bytes", T.MaxPeakBytes);
   if (T.Allocated) {
     Out += ',';
-    appendNum(Out, "spill_stores", T.SpillStores);
+    appendJsonNum(Out, "spill_stores", T.SpillStores);
     Out += ',';
-    appendNum(Out, "reloads", T.Reloads);
+    appendJsonNum(Out, "reloads", T.Reloads);
     Out += ',';
-    appendNum(Out, "ranges_split", T.RangesSplit);
+    appendJsonNum(Out, "ranges_split", T.RangesSplit);
     Out += ',';
-    appendNum(Out, "max_registers_used", T.MaxRegistersUsed);
+    appendJsonNum(Out, "max_registers_used", T.MaxRegistersUsed);
     Out += ',';
-    appendNum(Out, "dynamic_spill_ops", T.DynamicSpillOps);
+    appendJsonNum(Out, "dynamic_spill_ops", T.DynamicSpillOps);
   }
   if (IncludeTimings) {
     Out += ',';
-    appendNum(Out, "compile_us", T.CompileMicros);
+    appendJsonNum(Out, "compile_us", T.CompileMicros);
     Out += ',';
-    appendNum(Out, "wall_us", WallMicros);
+    appendJsonNum(Out, "wall_us", WallMicros);
   }
   Out += '}';
 
   if (HasStats) {
     Out += ',';
-    appendKey(Out, "stats");
+    appendJsonKey(Out, "stats");
     Out += "{\"counters\":{";
     for (size_t I = 0; I != Counters.size(); ++I) {
       if (I)
@@ -259,12 +243,12 @@ std::string BatchReport::toJson(bool IncludeTimings) const {
       if (I)
         Out += ',';
       Out += '{';
-      appendStr(Out, "name", P.Name);
+      appendJsonStr(Out, "name", P.Name);
       Out += ',';
-      appendNum(Out, "calls", P.Calls);
+      appendJsonNum(Out, "calls", P.Calls);
       if (IncludeTimings) {
         Out += ',';
-        appendNum(Out, "us", P.Micros);
+        appendJsonNum(Out, "us", P.Micros);
       }
       Out += '}';
     }

@@ -333,39 +333,30 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
   }
 
   // runPipeline's input contract: verified, phi-free and strict (after
-  // enforcement, when asked). Returns Ok, or the failure with Error filled.
-  auto Validate = [&](Function &F, std::string &Error) {
+  // enforcement, when asked). Every function is checked before any
+  // compiles, so a failing unit's report lists no functions, cache or no
+  // cache, and the structural key is only derived (and ownership only
+  // claimed) for units that will compile. enforceStrictness mutates the
+  // function, so the key hashes the program as compiled, not as submitted.
+  for (const auto &FPtr : M->functions()) {
+    Function &F = *FPtr;
     if (Opts.EnforceStrictness)
       enforceStrictness(F);
-    if (!verifyFunction(F, Error)) {
-      Error = "@" + F.name() + ": " + Error;
-      return UnitStatus::VerifyError;
-    }
-    if (F.phiCount() != 0) {
-      Error = "@" + F.name() +
-              ": input has phis; compiles start from phi-free code";
-      return UnitStatus::VerifyError;
-    }
-    if (!isStrict(F)) {
-      Error = "@" + F.name() +
-              " is not strict (a use may precede every definition)";
-      return UnitStatus::NotStrict;
-    }
-    return UnitStatus::Ok;
-  };
+    std::string Error;
+    if (!verifyFunction(F, Error))
+      return Fail(UnitStatus::VerifyError, "@" + F.name() + ": " + Error);
+    if (F.phiCount() != 0)
+      return Fail(UnitStatus::VerifyError,
+                  "@" + F.name() +
+                      ": input has phis; compiles start from phi-free code");
+    if (!isStrict(F))
+      return Fail(UnitStatus::NotStrict,
+                  "@" + F.name() +
+                      " is not strict (a use may precede every definition)");
+  }
 
-  // With a cache attached, validation runs as a pre-pass (same order, same
-  // diagnostics as the compile loop below) so the structural key is only
-  // derived — and ownership only claimed — for units that will actually
-  // compile. enforceStrictness mutates the function, so the key hashes the
-  // program as compiled, not as submitted.
   bool OwnerActive = false;
   if (Cache) {
-    for (const auto &FPtr : M->functions()) {
-      std::string Error;
-      if (UnitStatus S = Validate(*FPtr, Error); S != UnitStatus::Ok)
-        return Fail(S, Error);
-    }
     StructKey = structKeyFor(*M, CfgFp);
     ResultCache::StructResult R = Cache->lookupOrStart(StructKey);
     if (!R.Owner) {
@@ -395,7 +386,6 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
     }
   } Guard{Cache, StructKey, OwnerActive};
 
-  const bool Prevalidated = Cache != nullptr;
   for (const auto &FPtr : M->functions()) {
     Function &F = *FPtr;
     if (overBudget(UnitClock, Opts.MaxUnitMicros))
@@ -403,12 +393,6 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
                   "time budget exhausted before @" + F.name());
     if (CancelFlag.load())
       return Fail(UnitStatus::Cancelled, "batch cancelled at @" + F.name());
-
-    std::string Error;
-    if (!Prevalidated) {
-      if (UnitStatus S = Validate(F, Error); S != UnitStatus::Ok)
-        return Fail(S, Error);
-    }
 
     FunctionRecord Record;
     Record.Name = F.name();
@@ -427,6 +411,7 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
     if (Registry)
       Registry->noteMax("pipeline.peak-bytes", Record.Compile.PeakBytes);
 
+    std::string Error;
     if (Opts.VerifyOutput && !verifyFunction(F, Error))
       return Fail(UnitStatus::OutputInvalid, "@" + F.name() + ": " + Error);
 

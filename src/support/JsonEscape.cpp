@@ -37,3 +37,20 @@ void fcc::appendJsonEscaped(std::string &Out, const std::string &S) {
   }
   Out += '"';
 }
+
+void fcc::appendJsonKey(std::string &Out, const char *Key) {
+  Out += '"';
+  Out += Key;
+  Out += "\":";
+}
+
+void fcc::appendJsonNum(std::string &Out, const char *Key, uint64_t Value) {
+  appendJsonKey(Out, Key);
+  Out += std::to_string(Value);
+}
+
+void fcc::appendJsonStr(std::string &Out, const char *Key,
+                        const std::string &Value) {
+  appendJsonKey(Out, Key);
+  appendJsonEscaped(Out, Value);
+}

@@ -13,8 +13,8 @@
 #include "ir/IRParser.h"
 #include "ir/Variable.h"
 #include "ir/Verifier.h"
+#include "ssa/ParallelCopy.h"
 #include "ssa/SSABuilder.h"
-#include "ssa/StandardDestruction.h"
 #include <gtest/gtest.h>
 
 using namespace fcc;
@@ -110,7 +110,7 @@ TEST(FastCoalescerTest, NeverWorseThanStandardDestruction) {
       SSABuildOptions Opts;
       Opts.FoldCopies = true;
       buildSSA(FStd, DT, Opts);
-      destroySSAStandard(FStd);
+      lowerPhis(FStd, [](Variable *V) { return V; });
     }
     EXPECT_LE(FNew.staticCopyCount(), FStd.staticCopyCount())
         << FNew.name() << ": the coalescer left more copies than the naive "

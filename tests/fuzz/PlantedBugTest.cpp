@@ -2,10 +2,11 @@
 //
 // End-to-end acceptance test for the fuzzing subsystem. This binary links
 // against fcc_planted — the library built with FCC_FUZZ_PLANT_BUG, which
-// drops the last sequenced copy of every parallel-copy group in the fast
-// coalescer's rewrite. The partition audit runs before that point and still
-// passes, so only differential execution can expose the bug; the fuzzer
-// must find it and the reducer must shrink it to a small repro.
+// drops the last sequenced copy of every parallel-copy group in the phi
+// lowering (ssa/ParallelCopy.cpp), so under Standard and New alike. The
+// partition audit runs before that point and still passes, so only
+// differential execution can expose the bug; the fuzzer must find it and
+// the reducer must shrink it to a small repro.
 //
 //===----------------------------------------------------------------------===//
 

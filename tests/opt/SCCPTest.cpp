@@ -22,6 +22,7 @@
 #include "ssa/SSABuilder.h"
 #include "workload/ProgramGenerator.h"
 #include <gtest/gtest.h>
+#include <unordered_map>
 
 using namespace fcc;
 
@@ -71,9 +72,10 @@ entry:
 }
 
 TEST(SCCPTest, FoldingMatchesInterpreterTotalSemantics) {
-  // Division and modulo are total (x/0 = x%0 = 0) and arithmetic wraps;
-  // the folder must agree with the interpreter on all of it, or folded
-  // code diverges from the reference.
+  // Division and modulo are total (x/0 = x%0 = 0, INT64_MIN / -1 wraps to
+  // INT64_MIN, INT64_MIN % -1 = 0) and arithmetic wraps; the folder must
+  // agree with the interpreter on all of it, or folded code diverges from
+  // the reference. Each edge case is stored to its own memory word.
   const char *Source = R"(
 func @f() {
 entry:
@@ -82,17 +84,50 @@ entry:
   %d = div %a, %z
   %m = mod %a, %z
   %q = div %a, 2
+  %min = const -9223372036854775808
+  %m1 = const -1
+  %dm = div %min, %m1
+  %mm = mod %min, %m1
+  %n = neg %min
+  %big = const 4611686018427387905
+  %w = mul %big, 2
+  store 0, %d
+  store 1, %m
+  store 2, %q
+  store 3, %dm
+  store 4, %mm
+  store 5, %n
+  store 6, %w
   %s = add %d, %m
   %t = add %s, %q
   ret %t
 }
 )";
+  const std::vector<int64_t> Want = {0, 0, -3, INT64_MIN, 0, INT64_MIN,
+                                     INT64_MIN + 2};
   auto MRef = parseSingleFunctionOrDie(Source);
   auto MGot = parseSingleFunctionOrDie(Source);
   Function &F = *MGot->functions()[0];
   toSSA(F);
   SCCPStats St = runSCCP(F);
-  EXPECT_GE(St.ConstantsFolded, 3u);
+  EXPECT_EQ(St.ConstantsFolded, 9u) << "every non-const def folds";
+
+  // Executed: the interpreter on the unfolded source.
+  std::vector<int64_t> Memory =
+      testutils::run(*MRef->functions()[0]).FinalMemory;
+  Memory.resize(Want.size());
+  EXPECT_EQ(Memory, Want);
+  // Folded: each stored value is now a const holding the same value.
+  std::unordered_map<const Variable *, int64_t> Consts;
+  std::vector<int64_t> Stored;
+  for (const auto &B : F.blocks())
+    for (const auto &I : B->insts()) {
+      if (I->opcode() == Opcode::Const)
+        Consts[I->getDef()] = I->getOperand(0).getImm();
+      else if (I->opcode() == Opcode::Store)
+        Stored.push_back(Consts.at(I->getOperand(1).getVar()));
+    }
+  EXPECT_EQ(Stored, Want);
   testutils::expectSameBehavior(*MRef->functions()[0], F);
 }
 

@@ -3,8 +3,9 @@
 // The service + result cache integration: duplicate and alpha-variant
 // units dedup to one compile, cached units produce report entries
 // byte-identical to compiled ones, the deterministic cache.hits/misses
-// counters are a pure function of the corpus (independent of --jobs), and
-// failing units are never cached.
+// counters are a pure function of the corpus (independent of --jobs),
+// failing units are never cached, and a unit that fails validation reports
+// the same with and without a cache.
 //
 //===----------------------------------------------------------------------===//
 
@@ -193,6 +194,67 @@ TEST(CacheServiceTest, FailingUnitsAreNeverCached) {
   EXPECT_EQ(counter(R, "cache.misses"), 2u);
   EXPECT_EQ(counter(R, "cache.hits"), 0u);
   EXPECT_EQ(Cache.occupancy().Insertions, 0u);
+}
+
+/// Two-function units whose first function compiles and whose second
+/// fails validation: not strict, or rejected by the verifier (an
+/// unreachable block).
+const char *SecondNotStrict = R"(
+func @good(%n) {
+entry:
+  %r = add %n, 1
+  ret %r
+}
+func @maybe(%p) {
+entry:
+  %c = cmplt %p, 10
+  cbr %c, then, join
+then:
+  %x = const 1
+  br join
+join:
+  ret %x
+}
+)";
+
+const char *SecondUnverifiable = R"(
+func @good(%n) {
+entry:
+  %r = add %n, 1
+  ret %r
+}
+func @orphaned(%n) {
+entry:
+  ret %n
+orphan:
+  ret %n
+}
+)";
+
+/// Every function is validated before any compiles, so the unit's report
+/// lists no functions and has the same bytes with and without a cache.
+void expectSameFailureWithAndWithoutCache(const char *Source,
+                                          UnitStatus Status) {
+  std::vector<WorkUnit> Units = {WorkUnit::fromSource("two", Source)};
+  ResultCache Cache;
+  std::string Cached, Compiled;
+  appendUnitJson(Cached, runCorpus(Units, /*Jobs=*/1, &Cache).Units[0],
+                 /*IncludeTimings=*/false);
+  UnitReport Report = runCorpus(Units, /*Jobs=*/1, nullptr).Units[0];
+  appendUnitJson(Compiled, Report, /*IncludeTimings=*/false);
+  EXPECT_EQ(Report.Status, Status) << Report.Error;
+  EXPECT_TRUE(Report.Functions.empty());
+  EXPECT_NE(Compiled.find("\"functions\":[]"), std::string::npos) << Compiled;
+  EXPECT_EQ(Cached, Compiled);
+}
+
+TEST(CacheServiceTest, SecondFunctionNotStrictReportsNoFunctionsEitherWay) {
+  expectSameFailureWithAndWithoutCache(SecondNotStrict, UnitStatus::NotStrict);
+}
+
+TEST(CacheServiceTest, SecondFunctionUnverifiableReportsNoFunctionsEitherWay) {
+  expectSameFailureWithAndWithoutCache(SecondUnverifiable,
+                                       UnitStatus::VerifyError);
 }
 
 TEST(CacheServiceTest, DifferentConfigurationsDoNotShareResults) {

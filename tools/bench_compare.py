@@ -18,9 +18,6 @@ exceeds baseline by more than the time tolerance, or its deterministic peak
 bytes drift beyond the memory tolerance in either direction.  A baseline
 entry may carry an optional "time_tol" field overriding the global time
 tolerance for that benchmark (for workloads known to be noisier).
-Instructions retired are reported informationally when both sides have
-them, but never gate: CI hardware frequently lacks counters, and a gate
-that only fires on some runners would be flaky by construction.
 
 Quality reports (fcc-quality/1): the counters are deterministic, so the
 default gate is exact equality on every code-quality counter of every row.
@@ -144,13 +141,6 @@ def validate(report, path):
             elif not isinstance(bench[field], kind) or isinstance(
                     bench[field], bool):
                 errors.append(f"{where} field '{field}' is not {kind.__name__}")
-        # instructions_retired is optional: fcc-bench omits it when hardware
-        # counters are unavailable (null is tolerated for older reports).
-        retired = bench.get("instructions_retired")
-        if retired is not None and (not isinstance(retired, int)
-                                    or isinstance(retired, bool)):
-            errors.append(f"{where} field 'instructions_retired' is neither "
-                          "int nor absent/null")
         name = bench.get("name")
         if name in seen:
             errors.append(f"{where} duplicate benchmark name {name!r}")
@@ -241,11 +231,6 @@ def compare(baseline, fresh, time_tol, mem_tol):
               f"{ratio:>7.2f} {base_bytes:>12} {new_bytes:>12}{marker}")
         if flags:
             regressions.append(f"{name}: " + "; ".join(flags))
-        bi, ni = base.get("instructions_retired"), new.get(
-            "instructions_retired")
-        if bi and ni:
-            print(f"{'':<28} instructions retired: {bi} -> {ni} "
-                  f"({ni / bi:.3f}x, informational)")
 
     for name in fresh_by_name:
         if name not in base_by_name:

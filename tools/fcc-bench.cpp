@@ -21,14 +21,11 @@
 //   --list         print the suite's benchmark names and exit
 //
 // Schema (fcc-bench/1): ns_median and ns_mad are the run-to-run unstable
-// fields. instructions_retired is emitted only when hardware counters are
-// actually available (perf_event_open can be denied in containers and CI;
-// see the benchmarking notes in DESIGN.md) — absent means "not measured",
-// and bench_compare.py treats the field as optional.
+// fields.
 //
 //   {"schema": "fcc-bench/1", "suite": S, "warmup": W, "repeats": R,
 //    "benchmarks": [{"name", "workload", "reps", "ns_median", "ns_mad",
-//                    "peak_bytes"[, "instructions_retired"]}, ...]}
+//                    "peak_bytes"}, ...]}
 //
 // Schema (fcc-quality/1): every field is a pure function of the corpus —
 // no timings — so the CI quality gate compares rows exactly by default.
@@ -77,7 +74,6 @@
 #include "ssa/SSABuilder.h"
 #include "support/Arena.h"
 #include "support/ArgParse.h"
-#include "support/PerfCounters.h"
 #include "support/SparseSet.h"
 #include "workload/KernelSuite.h"
 
@@ -548,26 +544,18 @@ struct BenchRecord {
   uint64_t NsMedian;
   uint64_t NsMad;
   size_t PeakBytes;
-  bool HaveInstructions;
-  uint64_t Instructions;
 };
 
-BenchRecord measure(const Benchmark &B, unsigned Warmup, unsigned Repeats,
-                    InstructionCounter &Counter) {
+BenchRecord measure(const Benchmark &B, unsigned Warmup, unsigned Repeats) {
   for (unsigned I = 0; I != Warmup; ++I)
     B.Run();
 
-  std::vector<uint64_t> Ns, Instr;
+  std::vector<uint64_t> Ns;
   size_t PeakBytes = 0;
   for (unsigned I = 0; I != Repeats; ++I) {
-    Counter.start();
     uint64_t T0 = nowNs();
     PeakBytes = B.Run();
-    uint64_t T1 = nowNs();
-    uint64_t Retired = Counter.stop();
-    Ns.push_back(T1 - T0);
-    if (Counter.available())
-      Instr.push_back(Retired);
+    Ns.push_back(nowNs() - T0);
   }
 
   BenchRecord R;
@@ -577,8 +565,6 @@ BenchRecord measure(const Benchmark &B, unsigned Warmup, unsigned Repeats,
   R.NsMedian = medianOf(Ns);
   R.NsMad = madOf(Ns, R.NsMedian);
   R.PeakBytes = PeakBytes;
-  R.HaveInstructions = !Instr.empty();
-  R.Instructions = Instr.empty() ? 0 : medianOf(std::move(Instr));
   return R;
 }
 
@@ -592,15 +578,10 @@ void writeJson(std::FILE *Out, const std::string &Suite, unsigned Warmup,
     const BenchRecord &R = Records[I];
     std::fprintf(Out,
                  "%s\n  {\"name\":\"%s\",\"workload\":\"%s\",\"reps\":%u,"
-                 "\"ns_median\":%llu,\"ns_mad\":%llu,\"peak_bytes\":%zu",
+                 "\"ns_median\":%llu,\"ns_mad\":%llu,\"peak_bytes\":%zu}",
                  I ? "," : "", R.Name.c_str(), R.Workload.c_str(), R.Reps,
                  static_cast<unsigned long long>(R.NsMedian),
                  static_cast<unsigned long long>(R.NsMad), R.PeakBytes);
-    if (R.HaveInstructions)
-      std::fprintf(Out, ",\"instructions_retired\":%llu}",
-                   static_cast<unsigned long long>(R.Instructions));
-    else
-      std::fprintf(Out, "}"); // Counters unavailable: omit, don't null.
   }
   std::fprintf(Out, "\n]}\n");
 }
@@ -702,12 +683,11 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  InstructionCounter Counter;
   std::vector<BenchRecord> Records;
   Records.reserve(Benches.size());
   for (const Benchmark &B : Benches) {
     try {
-      Records.push_back(measure(B, Params.Warmup, Params.Repeats, Counter));
+      Records.push_back(measure(B, Params.Warmup, Params.Repeats));
     } catch (const std::exception &E) {
       std::fprintf(stderr, "fcc-bench: %s: %s\n", B.Name.c_str(), E.what());
       return 1;
