@@ -89,3 +89,23 @@ bool fcc::checkCoalescing(const Function &F, const Liveness &LV,
   }
   return Ok;
 }
+
+bool fcc::checkRegisterAssignment(const Function &F, const Liveness &LV,
+                                  const std::vector<int> &RegisterOf,
+                                  std::string &Error) {
+  std::vector<const Variable *> Holder; // First holder, by register.
+  std::vector<const Variable *> Loc(F.numVariables());
+  for (unsigned Id = 0; Id != Loc.size(); ++Id) {
+    Loc[Id] = F.variable(Id);
+    int R = Id < RegisterOf.size() ? RegisterOf[Id] : -1;
+    if (R < 0)
+      continue;
+    if (static_cast<unsigned>(R) >= Holder.size())
+      Holder.resize(R + 1, nullptr);
+    if (!Holder[R])
+      Holder[R] = Loc[Id];
+    Loc[Id] = Holder[R];
+  }
+  return checkCoalescing(
+      F, LV, [&](const Variable *V) { return Loc[V->id()]; }, Error);
+}

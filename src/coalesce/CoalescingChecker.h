@@ -6,7 +6,9 @@
 /// liveness and reports two distinct variables that share a location while
 /// simultaneously live. The check is graph-free but equivalent to building
 /// Chaitin's interference graph and testing the merged pairs, so it lets the
-/// paper's algorithm and the baseline coalescers audit each other.
+/// paper's algorithm and the baseline coalescers audit each other. The same
+/// walk audits a register assignment, each register standing in for a
+/// location.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 namespace fcc {
 
@@ -33,6 +36,16 @@ using LocationFn = std::function<const Variable *(const Variable *)>;
 /// offending pair.
 bool checkCoalescing(const Function &F, const Liveness &LV,
                      const LocationFn &Loc, std::string &Error);
+
+/// checkCoalescing over a register assignment (RegAllocResult::RegisterOf:
+/// a register per variable id, -1 for none). Each register is one location,
+/// named after the first variable in id order that holds it; a variable
+/// without a register, or past the end of \p RegisterOf, is its own
+/// location. \p F may be post-destruction code that defines a name many
+/// times, given dense liveness in \p LV.
+bool checkRegisterAssignment(const Function &F, const Liveness &LV,
+                             const std::vector<int> &RegisterOf,
+                             std::string &Error);
 
 } // namespace fcc
 

@@ -16,7 +16,6 @@
 #include "ir/Variable.h"
 #include "ir/Verifier.h"
 #include "opt/PassManager.h"
-#include "pipeline/Pipeline.h"
 #include "regalloc/GraphColoringAllocator.h"
 #include "regalloc/SpillRewriter.h"
 #include "ssa/ParallelCopy.h"
@@ -47,11 +46,6 @@ struct OracleConfig {
   SSAFlavor Flavor;
   bool Fold;
   DestructKind Destruct;
-  /// Dominator/liveness implementations for this configuration. Defaults
-  /// to the pipeline default (DSU + sparse); the "legacy-analyses" entry
-  /// pins the old pair so every campaign compares new-vs-old end to end on
-  /// top of the direct bit-level cross-validation below.
-  AnalysisStrategy Analyses = {};
   /// Optimization pass sequence (passSequenceName spelling) run over the
   /// SSA form before destruction; null or empty runs no passes. The passes
   /// only rewrite within our total semantics (wrapping arithmetic, safe
@@ -74,8 +68,6 @@ constexpr OracleConfig Configs[] = {
      DestructKind::Standard},
     {"pruned+fold/fast-checked", SSAFlavor::Pruned, true,
      DestructKind::FastChecked},
-    {"pruned+fold/fast-legacy-analyses", SSAFlavor::Pruned, true,
-     DestructKind::Fast, legacyAnalyses()},
     {"pruned+fold/standard", SSAFlavor::Pruned, true, DestructKind::Standard},
     {"pruned+nofold/fast", SSAFlavor::Pruned, false, DestructKind::Fast},
     {"pruned+nofold/standard", SSAFlavor::Pruned, false,
@@ -89,13 +81,13 @@ constexpr OracleConfig Configs[] = {
     // over already-folded copies; the nofold pair leaves every input copy
     // for SCCP's own forwarding, then runs the full three-pass sequence.
     {"pruned+fold/fast+sccp", SSAFlavor::Pruned, true, DestructKind::Fast,
-     {}, "sccp"},
+     "sccp"},
     {"pruned+fold/standard+sccp", SSAFlavor::Pruned, true,
-     DestructKind::Standard, {}, "sccp"},
+     DestructKind::Standard, "sccp"},
     {"pruned+nofold/fast+sccp,adce,pre", SSAFlavor::Pruned, false,
-     DestructKind::Fast, {}, "sccp,adce,pre"},
+     DestructKind::Fast, "sccp,adce,pre"},
     {"pruned+nofold/standard+sccp,adce,pre", SSAFlavor::Pruned, false,
-     DestructKind::Standard, {}, "sccp,adce,pre"},
+     DestructKind::Standard, "sccp,adce,pre"},
 };
 constexpr unsigned NumConfigs = sizeof(Configs) / sizeof(Configs[0]);
 
@@ -146,7 +138,7 @@ std::string formatArgs(const std::vector<int64_t> &Args) {
 bool runConfig(Function &F, const OracleConfig &C, std::string &Error) {
   splitCriticalEdges(F);
   std::optional<DominatorTree> DT;
-  DT.emplace(F, C.Analyses.Dominators);
+  DT.emplace(F);
   SSABuildOptions Build;
   Build.Flavor = C.Flavor;
   Build.FoldCopies = C.Fold;
@@ -165,7 +157,7 @@ bool runConfig(Function &F, const OracleConfig &C, std::string &Error) {
     // Branch folding can merge blocks' edges and delete blocks; restore
     // the pipeline invariants the coalescers assume.
     splitCriticalEdges(F);
-    DT.emplace(F, C.Analyses.Dominators);
+    DT.emplace(F);
   }
 
   switch (C.Destruct) {
@@ -174,7 +166,7 @@ bool runConfig(Function &F, const OracleConfig &C, std::string &Error) {
     return true;
   case DestructKind::Fast:
   case DestructKind::FastChecked: {
-    Liveness LV(F, C.Analyses.Liveness);
+    Liveness LV(F, LivenessAlgorithm::Sparse);
     FastCoalescer Coalescer(F, *DT, LV);
     Coalescer.computePartition();
     if (C.Destruct == DestructKind::FastChecked &&
@@ -252,112 +244,6 @@ bool crossValidateAnalyses(Function &F, std::string &Detail) {
     if (Dense.liveOut(B.get()) != Sparse.liveOut(B.get())) {
       Detail = "live-out(" + B->name() + "): dense != sparse";
       return false;
-    }
-  }
-  return true;
-}
-
-/// Validates \p Alloc against liveness computed from scratch: walking each
-/// block backward from its live-out set, no definition may write a
-/// register that another variable live across that definition occupies.
-/// This is the def-point interference definition the allocator's graph is
-/// specified by, including Chaitin's copy rule: a copy's definition is
-/// allowed to share the source's register, because right after the copy
-/// both names hold the same value — the sharing is exactly what
-/// coalescing-by-color buys, and any later redefinition of either name
-/// while the other lives is itself a definition point this walk checks.
-/// (A plain "no two simultaneously-live variables share a register" rule
-/// would reject those correct allocations: `%t = copy %v; spill %t` with
-/// %v live through stores precisely %v's value.) Parallel definition
-/// points — entry parameters and phi groups — are checked against
-/// everything live across them and pairwise. Returns false with \p Error
-/// set to the offending pair.
-bool checkAllocation(const Function &F, const RegAllocResult &Alloc,
-                     std::string &Error) {
-  Liveness LV(F);
-  unsigned NumVars = F.numVariables();
-  auto RegOf = [&](unsigned Id) -> int {
-    return Id < Alloc.RegisterOf.size() ? Alloc.RegisterOf[Id] : -1;
-  };
-  std::vector<bool> Live(NumVars, false);
-  // Does defining \p Def clobber a live variable? \p Exempt is the copy
-  // source (or null): dead defs still write their register, so the scan
-  // runs whether or not \p Def was live.
-  auto DefClash = [&](const Variable *Def, const Variable *Exempt) -> bool {
-    int R = RegOf(Def->id());
-    if (R < 0)
-      return false;
-    for (unsigned Id = 0; Id != NumVars; ++Id) {
-      if (!Live[Id] || Id == Def->id())
-        continue;
-      const Variable *V = F.variable(Id);
-      if (V == Exempt || RegOf(Id) != R)
-        continue;
-      Error = "register r" + std::to_string(R) + " written by %" +
-              Def->name() + " while %" + V->name() + " is live";
-      return true;
-    }
-    return false;
-  };
-
-  for (const auto &B : F.blocks()) {
-    std::fill(Live.begin(), Live.end(), false);
-    for (unsigned Id = 0; Id != NumVars; ++Id)
-      if (LV.isLiveOut(B.get(), F.variable(Id)))
-        Live[Id] = true;
-    const auto &Insts = B->insts();
-    for (auto It = Insts.rbegin(); It != Insts.rend(); ++It) {
-      const Instruction &I = **It;
-      if (const Variable *Def = I.getDef()) {
-        Live[Def->id()] = false;
-        const Variable *CopySrc =
-            I.isCopy() && I.getOperand(0).isVar() ? I.getOperand(0).getVar()
-                                                  : nullptr;
-        if (DefClash(Def, CopySrc))
-          return false;
-      }
-      I.forEachUsedVar([&](const Variable *V) { Live[V->id()] = true; });
-    }
-
-    // Parameters are defined in parallel at the entry top by the calling
-    // convention: each against what is live there, and pairwise (they
-    // arrive in distinct locations).
-    if (B.get() == F.entry()) {
-      const auto &Params = F.params();
-      for (const Variable *P : Params)
-        Live[P->id()] = false;
-      for (unsigned PI = 0; PI != Params.size(); ++PI) {
-        if (DefClash(Params[PI], nullptr))
-          return false;
-        int RA = RegOf(Params[PI]->id());
-        for (unsigned PJ = PI + 1; RA >= 0 && PJ != Params.size(); ++PJ)
-          if (RegOf(Params[PJ]->id()) == RA) {
-            Error = "parameters %" + Params[PI]->name() + " and %" +
-                    Params[PJ]->name() + " share register r" +
-                    std::to_string(RA);
-            return false;
-          }
-      }
-    }
-
-    // Parallel phi definitions at the block top (post-destruction code has
-    // none, but incomplete allocations are checked pre-rewrite too).
-    const auto &Phis = B->phis();
-    if (Phis.empty())
-      continue;
-    for (const auto &Phi : Phis)
-      Live[Phi->getDef()->id()] = false;
-    for (unsigned PI = 0; PI != Phis.size(); ++PI) {
-      if (DefClash(Phis[PI]->getDef(), nullptr))
-        return false;
-      int RA = RegOf(Phis[PI]->getDef()->id());
-      for (unsigned PJ = PI + 1; RA >= 0 && PJ != Phis.size(); ++PJ)
-        if (RegOf(Phis[PJ]->getDef()->id()) == RA) {
-          Error = "phi definitions %" + Phis[PI]->getDef()->name() +
-                  " and %" + Phis[PJ]->getDef()->name() +
-                  " share register r" + std::to_string(RA);
-          return false;
-        }
     }
   }
   return true;
@@ -454,15 +340,8 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
   Interpreter RefInterp(Opts.MemoryWords, Opts.StepLimit);
   for (unsigned FI = 0; FI != NumFuncs; ++FI) {
     const Function &F = *RefM->functions()[FI];
-    std::string Error;
-    if (!verifyFunction(F, Error)) {
-      Result.InputError = "@" + F.name() + ": " + Error;
+    if (checkCompileInput(F, Result.InputError) != InputFault::None)
       return Result;
-    }
-    if (!isStrict(F)) {
-      Result.InputError = "@" + F.name() + " is not strict";
-      return Result;
-    }
     Vectors[FI] =
         argVectors(static_cast<unsigned>(F.params().size()), FI, Opts);
     for (const auto &Args : Vectors[FI])
@@ -482,8 +361,7 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
     ExtraPasses = passSequenceName(Opts.Passes);
     ExtraName = "pruned+fold/fast-checked+" + ExtraPasses;
     OracleConfig Extra = {ExtraName.c_str(), SSAFlavor::Pruned, true,
-                          DestructKind::FastChecked, {},
-                          ExtraPasses.c_str()};
+                          DestructKind::FastChecked, ExtraPasses.c_str()};
     Run.push_back(Extra);
   }
   const unsigned NumRun = static_cast<unsigned>(Run.size());
@@ -532,15 +410,17 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
       compareExecutions(F, Vectors[FI], Reference[FI], Opts, Config,
                         Result.Divergences);
 
-      // The regalloc path: color the paper-pipeline output and re-derive
-      // interference freedom from scratch liveness.
+      // The regalloc path: color the paper-pipeline output and audit the
+      // assignment with the partition checker over from-scratch liveness,
+      // not the allocator's own interference graph.
       if (C.Destruct == DestructKind::FastChecked && Opts.Registers != 0) {
         ++Result.ConfigsRun;
         RegAllocOptions RO;
         RO.Machine = uniformMachine(Opts.Registers);
         try {
           RegAllocResult Alloc = allocateRegisters(F, RO);
-          if (!checkAllocation(F, Alloc, Error))
+          if (!checkRegisterAssignment(F, Liveness(F), Alloc.RegisterOf,
+                                       Error))
             Result.Divergences.push_back(
                 {DivergenceKind::AllocUnsound, Config + "/regalloc", Error});
         } catch (const std::exception &E) {
@@ -567,7 +447,8 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
           } else if (!verifyFunction(F, Error)) {
             Result.Divergences.push_back(
                 {DivergenceKind::VerifyFail, SpillConfig, Error});
-          } else if (!checkAllocation(F, R.Alloc, Error)) {
+          } else if (!checkRegisterAssignment(F, Liveness(F),
+                                              R.Alloc.RegisterOf, Error)) {
             Result.Divergences.push_back(
                 {DivergenceKind::AllocUnsound, SpillConfig, Error});
           } else {
@@ -584,8 +465,9 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
 
   // Direct analysis cross-validation: both dominator algorithms and both
   // liveness solvers over one fresh copy of every function, compared bit
-  // for bit (independent of the end-to-end legacy-analyses configuration
-  // above, which only observes divergence through pipeline output).
+  // for bit on the split CFG and pruned+fold SSA form the configurations
+  // above build with the default pair (DSU, sparse). Equal here, the other
+  // pair would hand the coalescer exactly the same inputs.
   {
     std::string ParseError;
     std::unique_ptr<Module> M = parseModule(IrText, ParseError);

@@ -10,19 +10,18 @@
 /// the SSA form before destruction — runs the conversion, and compares
 /// observable behaviour under the interpreter on several seeded argument
 /// vectors. On top of the dynamic comparison it
-/// asserts two static properties:
+/// asserts three static properties:
 ///
 ///   - the fast coalescer never leaves *more* copies than the naive
 ///     destruction of the same SSA form would (coalescing only removes
 ///     copies the standard scheme inserts);
 ///   - the graph-coloring allocator's assignment over the fast-coalesced
-///     code is interference-free (re-derived from scratch liveness, not
-///     from the allocator's own graph);
+///     code is interference-free (checkRegisterAssignment over from-scratch
+///     liveness, not the allocator's own graph);
 ///   - the interchangeable analysis implementations agree: the DSU and CHK
 ///     dominator algorithms must decorate identical trees and the sparse
-///     and dense liveness solvers must fill identical sets on every input
-///     (checked directly, bit for bit, plus an end-to-end configuration
-///     that runs the paper pipeline under the legacy analyses).
+///     and dense liveness solvers must fill identical sets on every input,
+///     checked directly, bit for bit.
 ///
 /// Everything is deterministic: a fixed input text and OracleOptions always
 /// produce the same verdict, which is what lets the fuzz driver shard runs
@@ -76,8 +75,8 @@ enum class DivergenceKind {
   ExecMismatch,   ///< Return value / completion / final memory diverged.
   CopyRegression,   ///< Fast coalescing left more copies than naive
                     ///< destruction of the same SSA flavor.
-  AllocUnsound,     ///< A definition writes a register another variable
-                    ///< live across it occupies (copy sources exempt).
+  AllocUnsound,     ///< Two simultaneously-live variables share a register
+                    ///< (copy sources exempt at the copy).
   AnalysisMismatch, ///< DSU vs CHK dominators or postdominators, or sparse
                     ///< vs dense liveness, disagreed on the same function.
   InternalError,    ///< A pass threw; captured, remaining configs still ran.
@@ -97,8 +96,9 @@ struct Divergence {
 
 /// Verdict over one textual-IR module.
 struct OracleResult {
-  /// False when the input did not parse, verify, or was not strict — the
-  /// input is rejected, divergences are meaningless. The fuzz driver treats
+  /// False when the input did not parse or broke the compile-input
+  /// contract (checkCompileInput: verifies, no phis, strict) — the input
+  /// is rejected, divergences are meaningless. The fuzz driver treats
   /// this as "not a finding" (the generator guarantees valid inputs; the
   /// reducer uses it to discard invalid shrink candidates).
   bool InputOk = false;

@@ -175,6 +175,24 @@ bool fcc::isStrict(const Function &F) {
   return findNonStrictVariables(F).empty();
 }
 
+InputFault fcc::checkCompileInput(const Function &F, std::string &Error) {
+  if (!verifyFunction(F, Error)) {
+    Error = "@" + F.name() + ": " + Error;
+    return InputFault::Invalid;
+  }
+  if (F.phiCount() != 0) {
+    Error = "@" + F.name() +
+            ": input has phis; compiles start from phi-free code";
+    return InputFault::Invalid;
+  }
+  if (!isStrict(F)) {
+    Error = "@" + F.name() +
+            " is not strict (a use may precede every definition)";
+    return InputFault::NotStrict;
+  }
+  return InputFault::None;
+}
+
 unsigned fcc::enforceStrictness(Function &F) {
   std::vector<const Variable *> Bad = findNonStrictVariables(F);
   BasicBlock *Entry = F.entry();

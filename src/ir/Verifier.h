@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Structural verification of functions, the strictness check of the paper's
-/// Definition 2.1, and the strictness-enforcement transformation of Section 2
-/// (initialize upward-exposed variables at the entry block).
+/// Definition 2.1, the input contract every compile checks, and the
+/// strictness-enforcement transformation of Section 2 (initialize
+/// upward-exposed variables at the entry block).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,21 @@ std::vector<const Variable *> findNonStrictVariables(const Function &F);
 
 /// True when the function is strict per Definition 2.1.
 bool isStrict(const Function &F);
+
+/// Which rule of the compile-input contract a function breaks.
+enum class InputFault : unsigned char {
+  None,      ///< The contract holds.
+  Invalid,   ///< The function does not verify or already holds phis.
+  NotStrict, ///< A use may precede every definition (Definition 2.1).
+};
+
+/// The contract every compile starts from (runPipeline's precondition): \p F
+/// verifies, holds no phis and is strict. On a fault, \p Error names the
+/// function and the broken rule: "@f: <verifier message>", "@f: input has
+/// phis; compiles start from phi-free code" or "@f is not strict (a use may
+/// precede every definition)". Strictness enforcement, when wanted, is the
+/// caller's step before this check.
+InputFault checkCompileInput(const Function &F, std::string &Error);
 
 /// Makes \p F strict by inserting `v = const 0` at the top of the entry
 /// block for every variable reported by findNonStrictVariables — exactly the

@@ -64,18 +64,12 @@ const char *pipelineName(PipelineKind Kind);
 /// decorate the identical (unique) tree and both liveness algorithms fill
 /// identical bit sets, so rewritten code, reports and PeakBytes are
 /// byte-for-byte the same under any strategy — the DifferentialOracle
-/// cross-validates exactly that on every fuzz campaign. The default is the
-/// near-linear pair; legacyAnalyses() is the pre-DSU configuration kept as
-/// the reference for differential testing.
+/// cross-validates both pairs bit for bit on every fuzz campaign. The
+/// default is the near-linear pair.
 struct AnalysisStrategy {
   DomAlgorithm Dominators = DomAlgorithm::DSU;
   LivenessAlgorithm Liveness = LivenessAlgorithm::Sparse;
 };
-
-/// The original CHK + dense-iterative configuration.
-constexpr AnalysisStrategy legacyAnalyses() {
-  return {DomAlgorithm::CHK, LivenessAlgorithm::Dense};
-}
 
 /// Thrown by runPipeline when PipelineOptions::CheckPartition is set and
 /// CoalescingChecker refutes the coalescer's partition. what() names the

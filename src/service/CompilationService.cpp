@@ -245,24 +245,10 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
   ResultCache *Cache = Opts.Cache;
   const uint64_t CfgFp = Cache ? configFingerprint(Opts) : 0;
 
-  // With a cache attached every unit resolves as exactly one hit or one
-  // miss (failures count as misses), so with a large-enough budget the
-  // counters are a pure function of the corpus — 1 miss + K-1 hits for K
-  // identical units under any scheduling.
-  enum class CacheNote { None, Hit, Miss };
-  CacheNote Note = Cache ? CacheNote::Miss : CacheNote::None;
-  auto NoteOutcome = [&] {
-    if (!Registry || Note == CacheNote::None)
-      return;
-    Registry->bump(Note == CacheNote::Hit ? "cache.hits" : "cache.misses");
-    Note = CacheNote::None;
-  };
-
   auto Fail = [&](UnitStatus Status, std::string Error) -> UnitReport & {
     Report.Status = Status;
     Report.Error = std::move(Error);
     Report.TotalMicros = UnitClock.elapsedMicros();
-    NoteOutcome();
     EmitUnitSpan();
     return Report;
   };
@@ -278,8 +264,6 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
     if (Opts.WantRewritten)
       Report.RewrittenText = V->RewrittenText;
     Report.FromCache = true;
-    Note = CacheNote::Hit;
-    NoteOutcome();
     Report.TotalMicros = UnitClock.elapsedMicros();
     EmitUnitSpan();
     return Report;
@@ -332,27 +316,22 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
                       std::to_string(Opts.MaxUnitInstructions));
   }
 
-  // runPipeline's input contract: verified, phi-free and strict (after
-  // enforcement, when asked). Every function is checked before any
-  // compiles, so a failing unit's report lists no functions, cache or no
-  // cache, and the structural key is only derived (and ownership only
-  // claimed) for units that will compile. enforceStrictness mutates the
-  // function, so the key hashes the program as compiled, not as submitted.
+  // runPipeline's input contract (checkCompileInput), after enforcement
+  // when asked. Every function is checked before any compiles, so a
+  // failing unit's report lists no functions, cache or no cache, and the
+  // structural key is only derived (and ownership only claimed) for units
+  // that will compile. enforceStrictness mutates the function, so the key
+  // hashes the program as compiled, not as submitted.
   for (const auto &FPtr : M->functions()) {
     Function &F = *FPtr;
     if (Opts.EnforceStrictness)
       enforceStrictness(F);
     std::string Error;
-    if (!verifyFunction(F, Error))
-      return Fail(UnitStatus::VerifyError, "@" + F.name() + ": " + Error);
-    if (F.phiCount() != 0)
-      return Fail(UnitStatus::VerifyError,
-                  "@" + F.name() +
-                      ": input has phis; compiles start from phi-free code");
-    if (!isStrict(F))
-      return Fail(UnitStatus::NotStrict,
-                  "@" + F.name() +
-                      " is not strict (a use may precede every definition)");
+    InputFault Fault = checkCompileInput(F, Error);
+    if (Fault != InputFault::None)
+      return Fail(Fault == InputFault::NotStrict ? UnitStatus::NotStrict
+                                                 : UnitStatus::VerifyError,
+                  std::move(Error));
   }
 
   bool OwnerActive = false;
@@ -444,7 +423,6 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
     Report.RewrittenText = printModule(*M);
   }
 
-  NoteOutcome();
   Report.TotalMicros = UnitClock.elapsedMicros();
   EmitUnitSpan();
   return Report;
@@ -462,13 +440,21 @@ UnitReport CompilationService::compileOne(const WorkUnit &Unit,
     U.Error = What;
     return U;
   };
+  UnitReport Report;
   try {
-    return compileUnit(Unit, Index, Registry);
+    Report = compileUnit(Unit, Index, Registry);
   } catch (const std::exception &E) {
-    return Isolate(E.what());
+    Report = Isolate(E.what());
   } catch (...) {
-    return Isolate("unknown exception");
+    Report = Isolate("unknown exception");
   }
+  // With a cache attached every unit resolves as exactly one hit or one
+  // miss (failures, thrown ones included, count as misses), so with a
+  // large-enough budget the counters are a pure function of the corpus —
+  // 1 miss + K-1 hits for K identical units under any scheduling.
+  if (Opts.Cache && Registry)
+    Registry->bump(Report.FromCache ? "cache.hits" : "cache.misses");
+  return Report;
 }
 
 BatchReport CompilationService::run(const std::vector<WorkUnit> &Units) {

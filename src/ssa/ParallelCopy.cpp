@@ -142,9 +142,9 @@ fcc::lowerPhis(Function &F, const std::function<Variable *(Variable *)> &Loc) {
     SequencedCopies Seq =
         sequentializeParallelCopy(Waiting[Id], F, TempCounter);
 #ifdef FCC_FUZZ_PLANT_BUG
-    // Deliberate off-by-one for the fuzzing acceptance test (the fcc_planted
-    // library only): drop the last sequenced copy of every parallel-copy
-    // group, under Standard and New alike. The partition audit runs before
+    // Deliberate off-by-one for the fuzzing acceptance test (only the copy
+    // of this file fuzz_planted_tests compiles): drop the last sequenced
+    // copy of every parallel-copy group, under Standard and New alike. The partition audit runs before
     // this point, so only the differential oracle's dynamic comparison can
     // catch it.
     if (!Seq.Insts.empty())

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 using namespace fcc;
@@ -21,18 +22,19 @@ namespace {
 
 constexpr unsigned NoSlot = ~0u;
 
-/// Renaming state: one stack of current SSA names per original variable.
+/// Renaming state: the current SSA name of each original variable, plus a
+/// log of the names it replaced along the dominator-tree path.
 class Renamer {
 public:
   Renamer(Function &F, const DominatorTree &DT, bool FoldCopies,
           unsigned NumOriginals, std::vector<unsigned> &SlotInSucc,
           SSABuildStats &Stats)
-      : F(F), DT(DT), FoldCopies(FoldCopies), Stacks(NumOriginals),
+      : F(F), DT(DT), FoldCopies(FoldCopies), Current(NumOriginals, nullptr),
         Counter(NumOriginals, 0), NumOriginals(NumOriginals),
         SlotInSucc(SlotInSucc), Stats(Stats) {
     // Parameters enter with themselves as version zero.
     for (Variable *P : F.params())
-      Stacks[P->id()].push_back(P);
+      Current[P->id()] = P;
   }
 
   void run();
@@ -45,11 +47,11 @@ private:
     return V;
   }
 
-  /// Current SSA name for original \p Orig; null when no definition reaches
-  /// this point (only possible for values that are dead here, by strictness).
-  Variable *current(Variable *Orig) {
-    auto &S = Stacks[Orig->id()];
-    return S.empty() ? nullptr : S.back();
+  /// Makes \p Name the current name of \p Orig until run() leaves the
+  /// block being renamed.
+  void define(Variable *Orig, Variable *Name) {
+    Pushed.push_back({Orig, Current[Orig->id()]});
+    Current[Orig->id()] = Name;
   }
 
   /// Replaces a use of an original variable with its current SSA name. Uses
@@ -58,35 +60,35 @@ private:
   void rewriteUse(Operand &O) {
     Variable *Orig = O.getVar();
     assert(Orig->id() < NumOriginals && "use already renamed");
-    if (Variable *Cur = current(Orig))
+    if (Variable *Cur = Current[Orig->id()])
       O.setVar(Cur);
     else
       O = Operand::imm(0);
   }
 
   /// Renames \p B's phis and instructions and its successors' phi operands
-  /// on the edges leaving it, logging into Pushed the names run() pops when
-  /// it leaves \p B. A folded copy keeps its original def.
+  /// on the edges leaving it, logging into Pushed the names run() restores
+  /// when it leaves \p B. A folded copy keeps its original def.
   void renameBlock(BasicBlock *B);
 
   Function &F;
   const DominatorTree &DT;
   bool FoldCopies;
-  std::vector<std::vector<Variable *>> Stacks; // indexed by original var id
-  std::vector<unsigned> Counter;               // indexed by original var id
+  std::vector<Variable *> Current; // indexed by original var id
+  std::vector<unsigned> Counter;   // indexed by original var id
   unsigned NumOriginals;
   /// By block id: a one-successor block's operand slot in its successor's
   /// phis, NoSlot until the first edge into that successor is renamed.
   std::vector<unsigned> &SlotInSucc;
   SSABuildStats &Stats;
-  // Originals whose stacks renameBlock pushed for every block on the
-  // current dominator-tree path, oldest first.
-  std::vector<Variable *> Pushed;
+  // Each renaming of the blocks on the current dominator-tree path, oldest
+  // first: the original and the name it had before.
+  std::vector<std::pair<Variable *, Variable *>> Pushed;
 };
 
 /// Walks the dominator tree in preorder with an explicit stack (a chain of
 /// blocks makes the tree as deep as the function is long). Leaving a block
-/// pops its names, after all its children.
+/// restores the names it replaced, after all its children.
 void Renamer::run() {
   struct Frame {
     BasicBlock *B;
@@ -107,7 +109,7 @@ void Renamer::run() {
       continue;
     }
     for (; Pushed.size() != Top.PushedMark; Pushed.pop_back())
-      Stacks[Pushed.back()->id()].pop_back();
+      Current[Pushed.back().first->id()] = Pushed.back().second;
     Path.pop_back();
   }
 }
@@ -119,8 +121,7 @@ void Renamer::renameBlock(BasicBlock *B) {
     assert(Orig->id() < NumOriginals && "phi already renamed");
     Variable *New = fresh(Orig);
     Phi->setDef(New);
-    Stacks[Orig->id()].push_back(New);
-    Pushed.push_back(Orig);
+    define(Orig, New);
   }
 
   for (const auto &I : B->insts()) {
@@ -134,8 +135,7 @@ void Renamer::renameBlock(BasicBlock *B) {
     if (FoldCopies && I->isCopy() && I->getOperand(0).isVar()) {
       // Copy folding: the destination's uses read the source's current name
       // directly; buildSSA erases the copy.
-      Stacks[Def->id()].push_back(I->getOperand(0).getVar());
-      Pushed.push_back(Def);
+      define(Def, I->getOperand(0).getVar());
       continue;
     }
     if (FoldCopies && I->isCopy() && I->getOperand(0).isImm()) {
@@ -143,15 +143,13 @@ void Renamer::renameBlock(BasicBlock *B) {
       // strictness); keep the instruction as a constant definition.
       Variable *New = fresh(Def);
       I->setDef(New);
-      Stacks[Def->id()].push_back(New);
-      Pushed.push_back(Def);
+      define(Def, New);
       continue;
     }
 
     Variable *New = fresh(Def);
     I->setDef(New);
-    Stacks[Def->id()].push_back(New);
-    Pushed.push_back(Def);
+    define(Def, New);
   }
 
   // Fill phi operands of CFG successors for the edges leaving B. The first

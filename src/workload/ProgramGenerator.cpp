@@ -220,7 +220,7 @@ Function *fcc::generateProgram(Module &M, const std::string &Name,
   Builder B(M, Name, Opts);
   Function *F = B.run();
   std::string Error;
-  if (!verifyFunction(*F, Error) || !isStrict(*F)) {
+  if (checkCompileInput(*F, Error) != InputFault::None) {
     std::fprintf(stderr, "generated program is malformed: %s\n",
                  Error.c_str());
     std::abort();

@@ -10,7 +10,10 @@
 #include "ir/Function.h"
 #include "ir/IRParser.h"
 #include "ir/Variable.h"
+#include "pipeline/Pipeline.h"
+#include "regalloc/GraphColoringAllocator.h"
 #include "ssa/SSABuilder.h"
+#include <algorithm>
 #include <gtest/gtest.h>
 
 using namespace fcc;
@@ -147,6 +150,94 @@ TEST(CoalescingCheckerTest, ErrorNamesTheOffendingPair) {
   ASSERT_FALSE(checkCoalescing(*P.F, *P.LV, std::cref(Map), Error));
   EXPECT_NE(Error.find("n"), std::string::npos) << Error;
   EXPECT_NE(Error.find("sum.1"), std::string::npos) << Error;
+}
+
+/// The register assignment \p Registers uniform registers give \p F.
+RegAllocResult allocate(const Function &F, unsigned Registers) {
+  RegAllocOptions Opts;
+  Opts.Machine = uniformMachine(Registers);
+  return allocateRegisters(F, Opts);
+}
+
+TEST(CoalescingCheckerTest, RegisterFormAcceptsTheAllocatorsSpillingOutput) {
+  // Two registers cannot hold the nest's live values: the spilled names
+  // keep no register, each its own location.
+  auto M = parseSingleFunctionOrDie(testprogs::NestedLoops);
+  Function &F = *M->functions()[0];
+  runPipeline(F, PipelineOptions());
+  RegAllocResult R = allocate(F, 2);
+  ASSERT_FALSE(R.Spilled.empty());
+  std::string Error;
+  EXPECT_TRUE(checkRegisterAssignment(F, Liveness(F), R.RegisterOf, Error))
+      << Error;
+}
+
+TEST(CoalescingCheckerTest, RegisterFormNamesBothHoldersOfACorruptedRegister) {
+  auto M = parseSingleFunctionOrDie(R"(
+func @f(%n) {
+entry:
+  %left = add %n, 1
+  %right = add %n, 2
+  %sum = add %left, %right
+  ret %sum
+}
+)");
+  Function &F = *M->functions()[0];
+  RegAllocResult R = allocate(F, 8);
+  Liveness LV(F);
+  std::string Error;
+  ASSERT_TRUE(checkRegisterAssignment(F, LV, R.RegisterOf, Error)) << Error;
+  // left is live across right's definition.
+  unsigned Left = F.findVariable("left")->id();
+  unsigned Right = F.findVariable("right")->id();
+  ASSERT_GE(R.RegisterOf[Left], 0);
+  R.RegisterOf[Right] = R.RegisterOf[Left];
+  EXPECT_FALSE(checkRegisterAssignment(F, LV, R.RegisterOf, Error));
+  EXPECT_NE(Error.find("'left'"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("'right'"), std::string::npos) << Error;
+}
+
+TEST(CoalescingCheckerTest, RegisterFormLetsACopyShareItsSourcesRegister) {
+  // a stays live past `b = copy a`, but both hold one value there.
+  auto M = parseSingleFunctionOrDie(R"(
+func @f(%a) {
+entry:
+  %b = copy %a
+  %c = add %b, %a
+  ret %c
+}
+)");
+  Function &F = *M->functions()[0];
+  std::vector<int> RegisterOf(F.numVariables(), -1);
+  RegisterOf[F.findVariable("a")->id()] = 0;
+  RegisterOf[F.findVariable("b")->id()] = 0;
+  RegisterOf[F.findVariable("c")->id()] = 1;
+  std::string Error;
+  EXPECT_TRUE(checkRegisterAssignment(F, Liveness(F), RegisterOf, Error))
+      << Error;
+}
+
+TEST(CoalescingCheckerTest, RegisterFormRunsOnPostDestructionCode) {
+  // Standard destruction defines each phi's name once per incoming edge;
+  // dense liveness serves such code.
+  auto M = parseSingleFunctionOrDie(testprogs::SwapLoop);
+  Function &F = *M->functions()[0];
+  PipelineOptions Standard;
+  Standard.Kind = PipelineKind::Standard;
+  runPipeline(F, Standard);
+  std::vector<unsigned> Defs(F.numVariables(), 0);
+  for (const auto &B : F.blocks())
+    for (const auto &I : B->insts())
+      if (const Variable *Def = I->getDef())
+        ++Defs[Def->id()];
+  ASSERT_GT(*std::max_element(Defs.begin(), Defs.end()), 1u);
+
+  Liveness LV(F, LivenessAlgorithm::Dense);
+  std::string Error;
+  EXPECT_TRUE(checkRegisterAssignment(F, LV, allocate(F, 8).RegisterOf, Error))
+      << Error;
+  EXPECT_FALSE(checkRegisterAssignment(
+      F, LV, std::vector<int>(F.numVariables(), 0), Error));
 }
 
 } // namespace

@@ -3,8 +3,13 @@
 #include "fuzz/DifferentialOracle.h"
 
 #include "../common/TestPrograms.h"
+#include "analysis/CFGUtils.h"
+#include "analysis/DominatorTree.h"
+#include "ir/Function.h"
+#include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
+#include "ssa/SSABuilder.h"
 #include "workload/KernelSuite.h"
 #include "workload/ProgramGenerator.h"
 #include <gtest/gtest.h>
@@ -27,13 +32,6 @@ TEST(DifferentialOracleTest, ConfigNamesAreUniqueAndCoverBothSchemes) {
       Found |= N.find(Piece) != std::string::npos;
     EXPECT_TRUE(Found) << "no config mentions '" << Piece << "'";
   }
-  // The legacy-analyses configuration: the paper pipeline end to end under
-  // CHK dominators + dense liveness, differentially against the default
-  // near-linear analyses of every other config.
-  bool HasLegacy = false;
-  for (const std::string &N : Names)
-    HasLegacy |= N == "pruned+fold/fast-legacy-analyses";
-  EXPECT_TRUE(HasLegacy);
 }
 
 TEST(DifferentialOracleTest, RunsTheAnalysisCrosscheckPerFunction) {
@@ -105,8 +103,24 @@ TEST(DifferentialOracleTest, RejectsNonStrictInput) {
                           "join:\n  ret %x\n}";
   OracleResult R = runDifferentialOracle(NonStrict);
   EXPECT_FALSE(R.InputOk);
-  EXPECT_NE(R.InputError.find("strict"), std::string::npos)
+  EXPECT_EQ(R.InputError,
+            "@f is not strict (a use may precede every definition)");
+}
+
+TEST(DifferentialOracleTest, RejectsInputAlreadyInSSAForm) {
+  // Every configuration builds SSA itself, so phis in the input break the
+  // compile-input contract: rejected, like the service rejects them.
+  std::unique_ptr<Module> M = parseSingleFunctionOrDie(testprogs::SumLoop);
+  Function &F = *M->functions()[0];
+  splitCriticalEdges(F);
+  DominatorTree DT(F);
+  buildSSA(F, DT, SSABuildOptions());
+  ASSERT_NE(F.phiCount(), 0u);
+  OracleResult R = runDifferentialOracle(printModule(*M));
+  EXPECT_FALSE(R.InputOk);
+  EXPECT_NE(R.InputError.find("input has phis"), std::string::npos)
       << R.InputError;
+  EXPECT_EQ(R.ConfigsRun, 0u);
 }
 
 TEST(DifferentialOracleTest, DeterministicAcrossInvocations) {

@@ -15,15 +15,15 @@ using namespace fcc;
 
 namespace {
 
-/// Candidate validity shared by all predicates here: parses, verifies, and
-/// is strict — exactly what the oracle enforces for the fuzzer.
+/// Candidate validity shared by all predicates here: parses and meets the
+/// compile-input contract — exactly what the oracle enforces for the fuzzer.
 bool isValid(const std::string &Text) {
   std::string Error;
   std::unique_ptr<Module> M = parseModule(Text, Error);
   if (!M || M->functions().empty())
     return false;
   for (const auto &F : M->functions())
-    if (!verifyFunction(*F, Error) || !isStrict(*F))
+    if (checkCompileInput(*F, Error) != InputFault::None)
       return false;
   return true;
 }

@@ -1,9 +1,9 @@
 //===- tests/fuzz/PlantedBugTest.cpp --------------------------------------===//
 //
-// End-to-end acceptance test for the fuzzing subsystem. This binary links
-// against fcc_planted — the library built with FCC_FUZZ_PLANT_BUG, which
+// End-to-end acceptance test for the fuzzing subsystem. This binary
+// compiles its own ssa/ParallelCopy.cpp with FCC_FUZZ_PLANT_BUG, which
 // drops the last sequenced copy of every parallel-copy group in the phi
-// lowering (ssa/ParallelCopy.cpp), so under Standard and New alike. The
+// lowering, so under Standard and New alike; the rest comes from fcc. The
 // partition audit runs before that point and still passes, so only
 // differential execution can expose the bug; the fuzzer must find it and
 // the reducer must shrink it to a small repro.

@@ -1,13 +1,14 @@
 //===- tests/fuzz/PlantedSpillBugTest.cpp ---------------------------------===//
 //
 // End-to-end acceptance test for the spill-rewrite leg of the oracle. This
-// binary links against fcc_planted_spill — the library built with
+// binary compiles its own regalloc/SpillRewriter.cpp with
 // FCC_FUZZ_PLANT_SPILL_BUG, which forces every spill and reload onto slot 0
-// so simultaneously-spilled values clobber each other. The coloring itself
-// stays sound (slots are not registers), the rewritten function still
-// verifies, and the allocation re-check still passes: only executing the
-// rewritten code against the reference can expose the bug. The oracle's
-// "/spill" configuration must find it and the reducer must shrink it.
+// so simultaneously-spilled values clobber each other; the rest comes from
+// fcc. The coloring itself stays sound (slots are not registers), the
+// rewritten function still verifies, and the allocation re-check still
+// passes: only executing the rewritten code against the reference can
+// expose the bug. The oracle's "/spill" configuration must find it and the
+// reducer must shrink it.
 //
 //===----------------------------------------------------------------------===//
 

@@ -3,7 +3,7 @@
 // Pins the IR's allocation behavior: instructions, their operands and
 // variables come from the function's pool, so parsing and SSA construction
 // make a handful of heap allocations per function, not one or more per
-// instruction or name. Also pins that setting up the coalescer allocates
+// instruction or name, on one large function and across the paper suite. Also pins that setting up the coalescer allocates
 // linearly on a deep loop nest. This binary replaces the global operator
 // new and delete to count calls and requested bytes, so it links no other
 // test.
@@ -17,8 +17,10 @@
 #include "coalesce/FastCoalescer.h"
 #include "ir/Function.h"
 #include "ir/IRParser.h"
+#include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "ssa/SSABuilder.h"
+#include "workload/KernelSuite.h"
 
 #include <atomic>
 #include <cstdlib>
@@ -130,6 +132,28 @@ TEST(AllocationCountTest, SSAConstructionAllocatesLittlePerNameItCreates) {
   unsigned Names = F.numVariables() - Before;
   ASSERT_GT(Names, 1000u);
   EXPECT_LE(static_cast<double>(Allocs) / Names, 0.4)
+      << Allocs << " allocations for " << Names << " names";
+}
+
+TEST(AllocationCountTest, SSAConstructionOnThePaperSuiteAllocatesAboutOncePerName) {
+  // Small functions, where fixed per-function costs weigh most; renaming
+  // state kept per original name would cost more than one heap allocation
+  // per name created.
+  unsigned long Allocs = 0, Names = 0;
+  for (const RoutineSpec &Spec : paperSuite()) {
+    std::unique_ptr<Module> M =
+        parseSingleFunctionOrDie(printModule(*Spec.materialize()));
+    Function &F = *M->functions()[0];
+    splitCriticalEdges(F);
+    DominatorTree DT(F);
+    SSABuildOptions Opts;
+    Opts.FoldCopies = true;
+    unsigned Before = F.numVariables();
+    Allocs += allocationsOf([&] { buildSSA(F, DT, Opts); });
+    Names += F.numVariables() - Before;
+  }
+  ASSERT_GT(Names, 10000u);
+  EXPECT_LE(static_cast<double>(Allocs) / Names, 1.1)
       << Allocs << " allocations for " << Names << " names";
 }
 

@@ -106,4 +106,45 @@ TEST(VerifierTest, DetectsEmptyFunction) {
   EXPECT_NE(Error.find("no blocks"), std::string::npos) << Error;
 }
 
+TEST(VerifierTest, CompileInputContractNamesTheBrokenRule) {
+  std::string Error;
+  auto Good = parseSingleFunctionOrDie(testprogs::SumLoop);
+  EXPECT_EQ(checkCompileInput(*Good->functions()[0], Error), InputFault::None)
+      << Error;
+
+  Function Empty("e");
+  EXPECT_EQ(checkCompileInput(Empty, Error), InputFault::Invalid);
+  EXPECT_EQ(Error, "@e: function 'e' has no blocks");
+
+  auto Joined = parseSingleFunctionOrDie(R"(
+func @j(%c) {
+entry:
+  cbr %c, a, join
+a:
+  br join
+join:
+  %y = phi [%c, entry], [%c, a]
+  ret %y
+}
+)");
+  EXPECT_EQ(checkCompileInput(*Joined->functions()[0], Error),
+            InputFault::Invalid);
+  EXPECT_EQ(Error, "@j: input has phis; compiles start from phi-free code");
+
+  auto Maybe = parseSingleFunctionOrDie(R"(
+func @m(%c) {
+entry:
+  cbr %c, a, join
+a:
+  %x = const 1
+  br join
+join:
+  ret %x
+}
+)");
+  EXPECT_EQ(checkCompileInput(*Maybe->functions()[0], Error),
+            InputFault::NotStrict);
+  EXPECT_EQ(Error, "@m is not strict (a use may precede every definition)");
+}
+
 } // namespace

@@ -23,6 +23,12 @@ constexpr PipelineKind AllKinds[] = {
     PipelineKind::Standard, PipelineKind::New, PipelineKind::Briggs,
     PipelineKind::BriggsImproved};
 
+/// The pre-DSU pair, CHK dominators and dense liveness: the reference the
+/// default strategy must match byte for byte.
+constexpr AnalysisStrategy legacyAnalyses() {
+  return {DomAlgorithm::CHK, LivenessAlgorithm::Dense};
+}
+
 TEST(PipelineTest, NamesAreStable) {
   EXPECT_STREQ(pipelineName(PipelineKind::Standard), "Standard");
   EXPECT_STREQ(pipelineName(PipelineKind::New), "New");

@@ -3,9 +3,9 @@
 // The service + result cache integration: duplicate and alpha-variant
 // units dedup to one compile, cached units produce report entries
 // byte-identical to compiled ones, the deterministic cache.hits/misses
-// counters are a pure function of the corpus (independent of --jobs),
-// failing units are never cached, and a unit that fails validation reports
-// the same with and without a cache.
+// counters are a pure function of the corpus (independent of --jobs) and
+// count every unit once, failing units are never cached, and a unit that
+// fails validation reports the same with and without a cache.
 //
 //===----------------------------------------------------------------------===//
 
@@ -194,6 +194,30 @@ TEST(CacheServiceTest, FailingUnitsAreNeverCached) {
   EXPECT_EQ(counter(R, "cache.misses"), 2u);
   EXPECT_EQ(counter(R, "cache.hits"), 0u);
   EXPECT_EQ(Cache.occupancy().Insertions, 0u);
+}
+
+TEST(CacheServiceTest, UnitsWhoseCompileThrowsCountAsMisses) {
+  // The Briggs pipelines reject passes by throwing from the compile, after
+  // the cache lookups: each unit still counts once, as a miss.
+  ResultCache Cache;
+  ServiceOptions Opts;
+  Opts.Pipeline = PipelineKind::Briggs;
+  Opts.Passes = {PassKind::Sccp};
+  Opts.Cache = &Cache;
+  Opts.CollectStats = true;
+  std::vector<WorkUnit> Units;
+  for (unsigned I = 0; I != 2; ++I) {
+    GeneratorOptions G;
+    G.Seed = I + 1;
+    Units.push_back(WorkUnit::fromGenerator("gen" + std::to_string(I), G));
+  }
+  BatchReport R = CompilationService(Opts).run(Units);
+
+  ASSERT_EQ(R.Units.size(), 2u);
+  for (const UnitReport &U : R.Units)
+    EXPECT_EQ(U.Status, UnitStatus::InternalError) << U.Name << ": " << U.Error;
+  EXPECT_EQ(counter(R, "cache.misses"), 2u);
+  EXPECT_EQ(counter(R, "cache.hits"), 0u);
 }
 
 /// Two-function units whose first function compiles and whose second

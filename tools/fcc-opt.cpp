@@ -180,22 +180,11 @@ int main(int Argc, char **Argv) {
     Function &F = *FPtr;
     if (Shared.EnforceStrictness)
       enforceStrictness(F);
-    if (!verifyFunction(F, Error)) {
-      std::fprintf(stderr, "@%s does not verify: %s\n", F.name().c_str(),
-                   Error.c_str());
-      return 1;
-    }
-    if (F.phiCount() != 0) {
-      std::fprintf(stderr,
-                   "@%s: input has phis; compiles start from phi-free code\n",
-                   F.name().c_str());
-      return 1;
-    }
-    if (!isStrict(F)) {
-      std::fprintf(stderr,
-                   "@%s is not strict (a use may precede every definition); "
-                   "re-run with --strict\n",
-                   F.name().c_str());
+    InputFault Fault = checkCompileInput(F, Error);
+    if (Fault != InputFault::None) {
+      std::fprintf(stderr, "%s%s\n", Error.c_str(),
+                   Fault == InputFault::NotStrict ? "; re-run with --strict"
+                                                  : "");
       return 1;
     }
 
