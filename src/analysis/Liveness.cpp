@@ -249,6 +249,22 @@ UpwardExposedLiveness::UpwardExposedLiveness(const Function &F) {
   });
 }
 
+bool UpwardExposedLiveness::isLiveIn(const BasicBlock *B,
+                                     const Variable *V) const {
+  unsigned Slot = V->id();
+  if (!Names.empty()) {
+    auto It = std::ranges::lower_bound(Names, Slot);
+    if (It == Names.end() || *It != Slot)
+      return false;
+    Slot = static_cast<unsigned>(It - Names.begin());
+  }
+  return Slot < NumSlots && isLiveIn(B, Slot);
+}
+
 const uint64_t *UpwardExposedLiveness::liveIn(const BasicBlock *B) const {
   return Words.data() + size_t(B->id()) * WordsPerSet;
+}
+
+const uint64_t *UpwardExposedLiveness::liveOut(const BasicBlock *B) const {
+  return liveIn(B) + Words.size() / 2;
 }

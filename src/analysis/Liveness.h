@@ -12,8 +12,9 @@
 ///   - Liveness answers "is v live-in / live-out of b" over every name of a
 ///     function, dense or (on SSA code) by the sparse per-variable walk of
 ///     SparseLiveness.cpp;
-///   - UpwardExposedLiveness answers "is v live into b" over pre-SSA code,
-///     solving only the names that can be live anywhere.
+///   - UpwardExposedLiveness answers the same over code with any number of
+///     definitions per name, solving only the names that can be live
+///     anywhere.
 ///
 /// Storage follows what is live. Block-major sets (one flat buffer of
 /// 2 * blocks * words-per-set words) serve the dense solver and every sparse
@@ -129,14 +130,16 @@ private:
   std::vector<uint32_t> RpoNumber;
 };
 
-/// Live-in sets of pre-SSA code — names defined any number of times —
-/// over only the names that can be live somewhere: those with an
-/// upward-exposed use in some block or a phi operand. Any other name is
-/// live into no block, so the dense fixed point over this compact universe
-/// answers "is v live into b" exactly. A function of at most 64 names
-/// keeps them all: its sets are one word either way. It serves the
-/// strictness check (the live-in set of the entry) and pruned phi
-/// placement.
+/// Block-boundary sets of code whose names may be defined any number of
+/// times — pre-SSA code, or phi-free code after SSA destruction and spill
+/// rewriting — over only the names that can be live somewhere: those with
+/// an upward-exposed use in some block or a phi operand. Any other name is
+/// live into and out of no block, so the dense fixed point over this
+/// compact universe answers "is v live into / out of b" exactly. A
+/// function of at most 64 names keeps them all: its sets are one word
+/// either way. It serves the strictness check (the live-in set of the
+/// entry), pruned phi placement, and the register allocator and its spill
+/// rewriter, where spill-everywhere leaves few names crossing blocks.
 class UpwardExposedLiveness {
 public:
   explicit UpwardExposedLiveness(const Function &F);
@@ -153,14 +156,22 @@ public:
     return (liveIn(B)[Slot / 64] >> (Slot % 64)) & 1;
   }
 
+  /// True when \p V is live into \p B. A name without a slot, including
+  /// one created after the solve, is live nowhere.
+  bool isLiveIn(const BasicBlock *B, const Variable *V) const;
+
   /// Invokes \p Fn with the id of every variable live into \p B, in
   /// increasing id order.
   template <typename CallableT>
   void forEachLiveIn(const BasicBlock *B, CallableT Fn) const {
-    const uint64_t *In = liveIn(B);
-    for (size_t W = 0; W != WordsPerSet; ++W)
-      for (uint64_t Bits = In[W]; Bits; Bits &= Bits - 1)
-        Fn(nameOf(W * 64 + static_cast<unsigned>(__builtin_ctzll(Bits))));
+    forEachName(liveIn(B), Fn);
+  }
+
+  /// Invokes \p Fn with the id of every variable live out of \p B, in
+  /// increasing id order.
+  template <typename CallableT>
+  void forEachLiveOut(const BasicBlock *B, CallableT Fn) const {
+    forEachName(liveOut(B), Fn);
   }
 
   /// The sets plus the index map (none when slots are ids).
@@ -170,6 +181,14 @@ public:
 
 private:
   const uint64_t *liveIn(const BasicBlock *B) const;
+  const uint64_t *liveOut(const BasicBlock *B) const;
+
+  template <typename CallableT>
+  void forEachName(const uint64_t *Set, CallableT Fn) const {
+    for (size_t W = 0; W != WordsPerSet; ++W)
+      for (uint64_t Bits = Set[W]; Bits; Bits &= Bits - 1)
+        Fn(nameOf(W * 64 + static_cast<unsigned>(__builtin_ctzll(Bits))));
+  }
 
   unsigned NumSlots = 0;
   size_t WordsPerSet = 0;

@@ -14,6 +14,22 @@ using namespace fcc;
 
 InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV,
                                      const BuildOptions &Opts) {
+  build(F, Opts, [&](const BasicBlock *B, auto Seed) {
+    LV.liveOut(B).forEach(Seed);
+  });
+}
+
+InterferenceGraph::InterferenceGraph(const Function &F,
+                                     const UpwardExposedLiveness &LV,
+                                     const BuildOptions &Opts) {
+  build(F, Opts, [&](const BasicBlock *B, auto Seed) {
+    LV.forEachLiveOut(B, Seed);
+  });
+}
+
+template <typename ForEachLiveOutFn>
+void InterferenceGraph::build(const Function &F, const BuildOptions &Opts,
+                              ForEachLiveOutFn ForEachLiveOut) {
   VarToNode.assign(F.numVariables(), -1);
   if (Opts.Restrict) {
     Universe = *Opts.Restrict;
@@ -28,35 +44,60 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV,
   }
 
   // The expensive step Section 4.1 talks about: clearing n^2/2 bits.
-  Matrix.reset(static_cast<unsigned>(Universe.size()));
+  const unsigned NumNodes = static_cast<unsigned>(Universe.size());
+  Matrix.reset(NumNodes);
   HasAdjacency = Opts.BuildAdjacencyLists;
 
-  // Chaitin's backward walk per block.
+  // Chaitin's backward walk per block. A name that is not a node never
+  // takes part in an edge, so the live set holds node indices only.
+  auto NodeOf = [&](const Variable *V) { return VarToNode[V->id()]; };
+  IndexSet Live(NumNodes);
+  auto Interfere = [&](unsigned DefNode, int Except) {
+    Live.forEach([&](unsigned Node) {
+      if (static_cast<int>(Node) != Except)
+        addEdge(DefNode, Node);
+    });
+  };
+  // Definitions in parallel (parameters at the entry, phis at a block's
+  // top): each interferes with what is live there and with the others.
+  auto DefineInParallel = [&](unsigned Count, auto DefAt) {
+    for (unsigned I = 0; I != Count; ++I)
+      if (int Node = NodeOf(DefAt(I)); Node >= 0)
+        Live.erase(static_cast<unsigned>(Node));
+    for (unsigned I = 0; I != Count; ++I) {
+      int DefNode = NodeOf(DefAt(I));
+      if (DefNode < 0)
+        continue;
+      Interfere(static_cast<unsigned>(DefNode), -1);
+      for (unsigned J = I + 1; J != Count; ++J)
+        if (int Other = NodeOf(DefAt(J)); Other >= 0)
+          addEdge(static_cast<unsigned>(DefNode),
+                  static_cast<unsigned>(Other));
+    }
+  };
   for (const auto &B : F.blocks()) {
-    IndexSet Live(LV.liveOut(B.get()));
+    Live.clear();
+    ForEachLiveOut(B.get(), [&](unsigned Id) {
+      if (int Node = VarToNode[Id]; Node >= 0)
+        Live.insert(static_cast<unsigned>(Node));
+    });
 
     for (auto It = B->insts().rbegin(), E = B->insts().rend(); It != E;
          ++It) {
       const Instruction &I = **It;
-      if (const Variable *Def = I.getDef()) {
-        Live.erase(Def->id());
-        const Variable *CopySrc =
-            I.isCopy() && I.getOperand(0).isVar() ? I.getOperand(0).getVar()
-                                                  : nullptr;
-        int DefNode = VarToNode[Def->id()];
-        if (DefNode >= 0) {
-          Live.forEach([&](unsigned Id) {
-            const Variable *V = F.variable(Id);
-            if (V == CopySrc)
-              return;
-            int Node = VarToNode[Id];
-            if (Node >= 0)
-              addEdge(static_cast<unsigned>(DefNode),
-                      static_cast<unsigned>(Node));
-          });
-        }
+      if (int DefNode = I.getDef() ? NodeOf(I.getDef()) : -1; DefNode >= 0) {
+        // Chaitin's copy refinement: d = copy s does not make d interfere
+        // with s.
+        Live.erase(static_cast<unsigned>(DefNode));
+        Interfere(static_cast<unsigned>(DefNode),
+                  I.isCopy() && I.getOperand(0).isVar()
+                      ? NodeOf(I.getOperand(0).getVar())
+                      : -1);
       }
-      I.forEachUsedVar([&](Variable *V) { Live.insert(V->id()); });
+      I.forEachUsedVar([&](const Variable *V) {
+        if (int Node = NodeOf(V); Node >= 0)
+          Live.insert(static_cast<unsigned>(Node));
+      });
     }
 
     // Parameters are defined in parallel at the top of the entry block by
@@ -65,49 +106,14 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV,
     // locations regardless of later uses).
     if (B.get() == F.entry()) {
       const auto &Params = F.params();
-      for (const Variable *P : Params)
-        Live.erase(P->id());
-      for (unsigned PI = 0; PI != Params.size(); ++PI) {
-        int DefNode = VarToNode[Params[PI]->id()];
-        if (DefNode < 0)
-          continue;
-        Live.forEach([&](unsigned Id) {
-          int Node = VarToNode[Id];
-          if (Node >= 0)
-            addEdge(static_cast<unsigned>(DefNode),
-                    static_cast<unsigned>(Node));
-        });
-        for (unsigned PJ = PI + 1; PJ != Params.size(); ++PJ) {
-          int Other = VarToNode[Params[PJ]->id()];
-          if (Other >= 0)
-            addEdge(static_cast<unsigned>(DefNode),
-                    static_cast<unsigned>(Other));
-        }
-      }
+      DefineInParallel(static_cast<unsigned>(Params.size()),
+                       [&](unsigned I) { return Params[I]; });
     }
 
     // Parallel phi definitions at the block top.
     const auto &Phis = B->phis();
-    if (Phis.empty())
-      continue;
-    for (const auto &Phi : Phis)
-      Live.erase(Phi->getDef()->id());
-    for (unsigned PI = 0; PI != Phis.size(); ++PI) {
-      int DefNode = VarToNode[Phis[PI]->getDef()->id()];
-      if (DefNode < 0)
-        continue;
-      Live.forEach([&](unsigned Id) {
-        int Node = VarToNode[Id];
-        if (Node >= 0)
-          addEdge(static_cast<unsigned>(DefNode), static_cast<unsigned>(Node));
-      });
-      for (unsigned PJ = PI + 1; PJ != Phis.size(); ++PJ) {
-        int Other = VarToNode[Phis[PJ]->getDef()->id()];
-        if (Other >= 0)
-          addEdge(static_cast<unsigned>(DefNode),
-                  static_cast<unsigned>(Other));
-      }
-    }
+    DefineInParallel(static_cast<unsigned>(Phis.size()),
+                     [&](unsigned I) { return Phis[I]->getDef(); });
   }
 
   // Freeze the adjacency lists into CSR form. A stable counting pass over
@@ -157,9 +163,8 @@ unsigned InterferenceGraph::degree(const Variable *V) const {
 }
 
 InterferenceGraph::NeighborList
-InterferenceGraph::neighbors(const Variable *V) const {
+InterferenceGraph::neighborsOf(unsigned Node) const {
   assert(HasAdjacency && "adjacency lists were not built");
-  unsigned Node = nodeIndex(V);
   return {AdjStorage.data() + AdjOffsets[Node],
           AdjOffsets[Node + 1] - AdjOffsets[Node]};
 }

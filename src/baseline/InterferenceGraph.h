@@ -26,6 +26,7 @@ namespace fcc {
 
 class Function;
 class Liveness;
+class UpwardExposedLiveness;
 class Variable;
 
 /// Interference graph over a function's variables (live ranges).
@@ -47,6 +48,10 @@ public:
                     const BuildOptions &Opts);
   InterferenceGraph(const Function &F, const Liveness &LV)
       : InterferenceGraph(F, LV, BuildOptions()) {}
+  /// The same graph from the compact solve, which knows only the names
+  /// live across some block boundary; every other name is live nowhere.
+  InterferenceGraph(const Function &F, const UpwardExposedLiveness &LV,
+                    const BuildOptions &Opts);
 
   /// Number of graph nodes (== restricted universe size, or all variables).
   unsigned numNodes() const { return Matrix.size(); }
@@ -66,10 +71,9 @@ public:
     unsigned size() const { return Size; }
   };
 
-  /// Neighbors of \p V as node indices (requires adjacency lists), in the
-  /// order the edges were discovered — the order the old per-node vectors
-  /// recorded, so coloring walks are unchanged.
-  NeighborList neighbors(const Variable *V) const;
+  /// Neighbors of the node with index \p Node, as node indices (requires
+  /// adjacency lists), in the order the edges were discovered.
+  NeighborList neighborsOf(unsigned Node) const;
 
   /// Variable for node index \p Node.
   Variable *nodeVariable(unsigned Node) const { return Universe[Node]; }
@@ -87,6 +91,11 @@ public:
   size_t bytes() const;
 
 private:
+  /// The one backward walk; \p ForEachLiveOut(B, Fn) calls Fn with the id
+  /// of every variable live out of B.
+  template <typename ForEachLiveOutFn>
+  void build(const Function &F, const BuildOptions &Opts,
+             ForEachLiveOutFn ForEachLiveOut);
   unsigned nodeIndex(const Variable *V) const;
   void addEdge(unsigned A, unsigned B);
 

@@ -115,13 +115,14 @@ unsigned Function::removeUnreachableBlocks() {
         B->removePredEdge(B->preds()[I]);
   }
 
-  unsigned Removed = 0;
-  for (size_t I = Blocks.size(); I-- != 0;)
-    if (!Reached[Blocks[I]->id()]) {
-      Blocks[I]->poisonContents();
-      Blocks.erase(Blocks.begin() + I);
-      ++Removed;
-    }
+  // One compaction of the block list, not one erase per dead block.
+  unsigned Removed =
+      static_cast<unsigned>(std::erase_if(Blocks, [&](const BlockPtr &B) {
+        if (Reached[B->id()])
+          return false;
+        B->poisonContents();
+        return true;
+      }));
   for (size_t I = 0; I != Blocks.size(); ++I)
     Blocks[I]->Id = static_cast<unsigned>(I);
   return Removed;

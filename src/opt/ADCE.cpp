@@ -11,7 +11,6 @@
 
 #include <cassert>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 using namespace fcc;
@@ -43,13 +42,31 @@ ADCEStats fcc::runADCE(Function &F) {
         DefOf[I->getDef()->id()] = I;
   }
 
-  // Live-marking fixpoint.
-  std::unordered_set<const Instruction *> Live;
+  // Live-marking fixpoint. A mark is one byte: per defined name (one
+  // definition each in SSA), and per block for its terminator. Stores and
+  // spills, the only instructions with neither role, are roots, so they
+  // count as always live.
+  std::vector<unsigned char> DefLive(F.numVariables(), 0), TermLive(N, 0);
+  auto MarkOf = [&](const Instruction &I) -> unsigned char * {
+    if (const Variable *Def = I.getDef())
+      return &DefLive[Def->id()];
+    if (I.isTerminator())
+      return &TermLive[I.getParent()->id()];
+    return nullptr;
+  };
+  auto IsLive = [&](const Instruction &I) {
+    const unsigned char *Mark = MarkOf(I);
+    return !Mark || *Mark;
+  };
   std::vector<Instruction *> Worklist;
   std::vector<unsigned char> BlockHasLive(N, 0);
   auto MarkLive = [&](Instruction *I) {
-    if (Live.insert(I).second)
-      Worklist.push_back(I);
+    if (unsigned char *Mark = MarkOf(*I)) {
+      if (*Mark)
+        return;
+      *Mark = 1;
+    }
+    Worklist.push_back(I);
   };
   for (const auto &B : F.blocks())
     for (const auto &I : B->insts())
@@ -95,9 +112,9 @@ ADCEStats fcc::runADCE(Function &F) {
   // Delete the dead phis and dead non-terminator instructions.
   for (const auto &B : F.blocks()) {
     Stats.PhisRemoved += B->erasePhisIf(
-        [&](const Instruction &Phi) { return !Live.count(&Phi); });
+        [&](const Instruction &Phi) { return !IsLive(Phi); });
     Stats.InstsRemoved += B->eraseInstsIf([&](const Instruction &I) {
-      return !I.isTerminator() && !Live.count(&I);
+      return !I.isTerminator() && !IsLive(I);
     });
   }
 
@@ -108,7 +125,7 @@ ADCEStats fcc::runADCE(Function &F) {
   if (CanRetarget) {
     for (const auto &B : F.blocks()) {
       Instruction *Term = B->terminator();
-      if (Term->opcode() != Opcode::CondBr || Live.count(Term))
+      if (Term->opcode() != Opcode::CondBr || TermLive[B->id()])
         continue;
       BasicBlock *R = IPdom[B->id()];
       while (R && !BlockHasLive[R->id()])

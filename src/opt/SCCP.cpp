@@ -27,10 +27,9 @@ struct LatticeValue {
 class SCCPSolver {
 public:
   explicit SCCPSolver(Function &F)
-      : F(F), NumBlocks(F.numBlocks()), Values(F.numVariables()),
-        BlockExecutable(NumBlocks, false),
-        EdgeExecutable(static_cast<size_t>(NumBlocks) * NumBlocks, false),
-        Users(F.numVariables()) {
+      : F(F), Values(F.numVariables()),
+        BlockExecutable(F.numBlocks(), false),
+        EdgeExecutable(F.numBlocks(), 0), Users(F.numVariables()) {
     for (const Variable *P : F.params())
       Values[P->id()].State = LatticeValue::Bottom;
     for (const auto &B : F.blocks()) {
@@ -95,11 +94,23 @@ private:
         SSAWork.push_back(U);
   }
 
+  /// The successor slots of \p From's terminator that lead to \p To: one
+  /// bit per slot, both for parallel edges.
+  static unsigned char slotsTo(const BasicBlock *From, const BasicBlock *To) {
+    const Instruction *Term = From->terminator();
+    unsigned char Slots = 0;
+    for (unsigned S = 0, E = Term->getNumSuccessors(); S != E; ++S)
+      if (Term->getSuccessor(S) == To)
+        Slots |= static_cast<unsigned char>(1u << S);
+    return Slots;
+  }
+
   void markEdgeExecutable(BasicBlock *From, BasicBlock *To) {
-    size_t Key = static_cast<size_t>(From->id()) * NumBlocks + To->id();
-    if (EdgeExecutable[Key])
+    unsigned char &Mask = EdgeExecutable[From->id()];
+    unsigned char Slots = slotsTo(From, To);
+    if (Mask & Slots)
       return;
-    EdgeExecutable[Key] = true;
+    Mask |= Slots;
     if (!BlockExecutable[To->id()]) {
       markBlockExecutable(To);
     } else {
@@ -118,15 +129,14 @@ private:
   }
 
   bool edgeExecutable(const BasicBlock *From, const BasicBlock *To) const {
-    return EdgeExecutable[static_cast<size_t>(From->id()) * NumBlocks +
-                          To->id()];
+    return EdgeExecutable[From->id()] & slotsTo(From, To);
   }
 
   void visit(Instruction &I) {
     if (I.isPhi()) {
       // Meet over the operands whose incoming edge can execute. Parallel
       // edges from one predecessor (cbr with equal successors) share one
-      // edge key, which only widens the meet — sound, never unsound.
+      // mark, which only widens the meet — sound, never unsound.
       const BasicBlock *B = I.getParent();
       LatticeValue Acc; // Top
       for (unsigned S = 0, E = I.getNumOperands(); S != E; ++S) {
@@ -201,10 +211,9 @@ private:
   }
 
   Function &F;
-  const unsigned NumBlocks;
   std::vector<LatticeValue> Values;                  // indexed by var id
   std::vector<bool> BlockExecutable;                 // indexed by block id
-  std::vector<bool> EdgeExecutable;                  // from * NB + to
+  std::vector<unsigned char> EdgeExecutable;         // slot bits by block id
   std::vector<std::vector<Instruction *>> Users;     // indexed by var id
   std::vector<std::pair<BasicBlock *, BasicBlock *>> CFGWork;
   std::vector<Instruction *> SSAWork;

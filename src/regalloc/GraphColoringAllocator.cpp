@@ -25,12 +25,12 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
   std::vector<unsigned> LoopDepth(F.numBlocks());
   for (const auto &B : F.blocks())
     LoopDepth[B->id()] = LI.loopDepth(B.get());
-  return allocateRegisters(F, Opts, Liveness(F), LoopDepth);
+  return allocateRegisters(F, Opts, UpwardExposedLiveness(F), LoopDepth);
 }
 
 RegAllocResult fcc::allocateRegisters(const Function &F,
                                       const RegAllocOptions &Opts,
-                                      const Liveness &LV,
+                                      const UpwardExposedLiveness &LV,
                                       const std::vector<unsigned> &LoopDepth) {
   assert(F.phiCount() == 0 && "allocate after SSA destruction");
   const MachineModel &MM = Opts.Machine;
@@ -98,14 +98,14 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
     ClassAt[P] = Result.ClassOf[Nodes[P]->id()];
   }
   std::vector<unsigned> CurDegree(NumNodes, 0);
-  std::vector<bool> OnStack(NumNodes, false);
+  std::vector<unsigned char> OnStack(NumNodes, 0);
   // Trivially colorable nodes, lowest position on top. Degrees only fall,
   // so a node enters once, when its degree drops below its bank size, and
   // stays colorable until picked.
   std::priority_queue<unsigned, std::vector<unsigned>, std::greater<>>
       Colorable;
   for (unsigned P = 0; P != NumNodes; ++P) {
-    for (unsigned Neighbor : Graph.neighbors(Nodes[P]))
+    for (unsigned Neighbor : Graph.neighborsOf(P))
       CurDegree[P] += ClassAt[Neighbor] == ClassAt[P];
     if (CurDegree[P] < ClassK[ClassAt[P]])
       Colorable.push(P);
@@ -156,7 +156,7 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
     }
   };
 
-  std::vector<const Variable *> Stack;
+  std::vector<unsigned> Stack;
   Stack.reserve(NumNodes);
   while (Stack.size() != NumNodes) {
     unsigned Picked = 0;
@@ -168,41 +168,38 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
       Picked = Colorable.top();
       Colorable.pop();
     }
-    OnStack[Picked] = true;
-    Stack.push_back(Nodes[Picked]);
+    OnStack[Picked] = 1;
+    Stack.push_back(Picked);
     unsigned C = ClassAt[Picked];
-    for (unsigned Neighbor : Graph.neighbors(Nodes[Picked]))
+    for (unsigned Neighbor : Graph.neighborsOf(Picked))
       if (!OnStack[Neighbor] && CurDegree[Neighbor] > 0 &&
           ClassAt[Neighbor] == C && --CurDegree[Neighbor] + 1 == ClassK[C])
         Colorable.push(Neighbor);
   }
 
   // Select: pop and color against already-colored neighbors, inside the
-  // node's class range.
-  Result.RegisterOf.assign(N, -1);
-  std::vector<bool> UsedColor(MM.totalRegisters(), false);
+  // node's class range, with each position's register in RegAt.
+  std::vector<int> RegAt(NumNodes, -1);
+  std::vector<unsigned char> UsedColor(MM.totalRegisters(), 0);
   while (!Stack.empty()) {
-    const Variable *V = Stack.back();
+    unsigned P = Stack.back();
     Stack.pop_back();
-    std::fill(UsedColor.begin(), UsedColor.end(), false);
-    for (unsigned Neighbor : Graph.neighbors(V)) {
-      int Reg = Result.RegisterOf[Graph.nodeVariable(Neighbor)->id()];
-      if (Reg >= 0)
-        UsedColor[static_cast<unsigned>(Reg)] = true;
-    }
-    unsigned C = Result.ClassOf[V->id()];
-    int Free = -1;
+    std::fill(UsedColor.begin(), UsedColor.end(), 0);
+    for (unsigned Neighbor : Graph.neighborsOf(P))
+      if (RegAt[Neighbor] >= 0)
+        UsedColor[static_cast<unsigned>(RegAt[Neighbor])] = 1;
+    unsigned C = ClassAt[P];
     for (unsigned R = ClassBase[C], E = ClassBase[C] + ClassK[C]; R != E; ++R)
       if (!UsedColor[R]) {
-        Free = static_cast<int>(R);
+        RegAt[P] = static_cast<int>(R);
         break;
       }
-    if (Free < 0) {
-      Result.Spilled.push_back(V);
-      continue;
-    }
-    Result.RegisterOf[V->id()] = Free;
+    if (RegAt[P] < 0)
+      Result.Spilled.push_back(Nodes[P]);
   }
+  Result.RegisterOf.assign(N, -1);
+  for (unsigned P = 0; P != NumNodes; ++P)
+    Result.RegisterOf[Nodes[P]->id()] = RegAt[P];
 
   // Distinct registers in the (possibly partial) assignment — see the
   // RegAllocResult contract in the header.

@@ -34,7 +34,7 @@
 namespace fcc {
 
 class Function;
-class Liveness;
+class UpwardExposedLiveness;
 class Variable;
 
 /// Allocation parameters.
@@ -89,13 +89,14 @@ RegAllocResult allocateRegisters(const Function &F,
                                  const RegAllocOptions &Opts);
 
 /// The same allocation over analyses the caller already holds: \p LV is
-/// \p F's dense liveness and \p LoopDepth the loop-nesting depth of each
-/// block, indexed by block id. insertSpillCode shares one liveness solve
-/// per round and one loop nest per function this way; the overload above
+/// \p F's compact liveness (only the names live across some block
+/// boundary) and \p LoopDepth the loop-nesting depth of each block,
+/// indexed by block id. insertSpillCode shares one liveness solve per
+/// round and one loop nest per function this way; the overload above
 /// computes both.
 RegAllocResult allocateRegisters(const Function &F,
                                  const RegAllocOptions &Opts,
-                                 const Liveness &LV,
+                                 const UpwardExposedLiveness &LV,
                                  const std::vector<unsigned> &LoopDepth);
 
 } // namespace fcc

@@ -123,17 +123,18 @@ struct LoopNest {
   }
 };
 
-/// One round's dense liveness solve, also answering for the edge blocks
-/// split in since. Rewriting a victim changes only that victim's liveness,
-/// and a round's victims are distinct, so each victim's queries see it as
-/// solved. An edge block on From->To references only its own victim, so
-/// for every other name it is live-in exactly where To is.
+/// One round's liveness solve over the names that cross a block boundary,
+/// also answering for the edge blocks split in since. Rewriting a victim
+/// changes only that victim's liveness, and a round's victims are
+/// distinct, so each victim's queries see it as solved. An edge block on
+/// From->To references only its own victim, so for every other name it is
+/// live-in exactly where To is.
 class RoundLiveness {
 public:
   explicit RoundLiveness(const Function &F)
-      : F(F), LV(F, LivenessAlgorithm::Dense), NumSolved(F.numBlocks()) {}
+      : F(F), LV(F), NumSolved(F.numBlocks()) {}
 
-  const Liveness &solved() const { return LV; }
+  const UpwardExposedLiveness &solved() const { return LV; }
 
   bool isLiveIn(const BasicBlock *B, const Variable *V) const {
     return LV.isLiveIn(F.block(solvedAs(B)), V);
@@ -150,7 +151,7 @@ private:
   }
 
   const Function &F;
-  Liveness LV;
+  UpwardExposedLiveness LV;
   unsigned NumSolved;
   /// Solved block standing in for each edge block, by id - NumSolved.
   std::vector<unsigned> SameAs;

@@ -127,14 +127,15 @@ TEST(InterferenceGraphTest, AdjacencyListsMatchTheMatrix) {
   InterferenceGraph::BuildOptions Opts;
   Opts.BuildAdjacencyLists = true;
   InterferenceGraph G(F, LV, Opts);
-  for (const auto &A : F.variables()) {
+  for (unsigned Node = 0; Node != G.numNodes(); ++Node) {
+    const Variable *A = G.nodeVariable(Node);
     unsigned FromLists = G.degree(A);
     unsigned FromMatrix = 0;
     for (const auto &B : F.variables())
       if (A != B && G.interfere(A, B))
         ++FromMatrix;
     EXPECT_EQ(FromLists, FromMatrix) << A->name();
-    for (unsigned N : G.neighbors(A))
+    for (unsigned N : G.neighborsOf(Node))
       EXPECT_TRUE(G.interfere(A, G.nodeVariable(N)));
   }
 }

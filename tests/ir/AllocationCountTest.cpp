@@ -3,10 +3,11 @@
 // Pins the IR's allocation behavior: instructions, their operands and
 // variables come from the function's pool, so parsing and SSA construction
 // make a handful of heap allocations per function, not one or more per
-// instruction or name, on one large function and across the paper suite. Also pins that setting up the coalescer allocates
-// linearly on a deep loop nest. This binary replaces the global operator
-// new and delete to count calls and requested bytes, so it links no other
-// test.
+// instruction or name, on one large function and across the paper suite.
+// Also pins that setting up the coalescer allocates linearly on a deep
+// loop nest, and SCCP on a diamond chain. This binary replaces the global
+// operator new and delete to count calls and requested bytes, so it links
+// no other test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
+#include "opt/SCCP.h"
 #include "ssa/SSABuilder.h"
 #include "workload/KernelSuite.h"
 
@@ -175,6 +177,27 @@ unsigned long coalescerSetupBytes(unsigned Depth) {
 TEST(AllocationCountTest, CoalescerSetupGrowsLinearlyWithLoopDepth) {
   unsigned long Small = coalescerSetupBytes(1000);
   unsigned long Large = coalescerSetupBytes(2000);
+  ASSERT_GT(Small, 0u);
+  EXPECT_LE(static_cast<double>(Large), 2.5 * static_cast<double>(Small))
+      << Small << " -> " << Large << " bytes";
+}
+
+/// Bytes SCCP requests on a \p Blocks-block diamond chain in SSA form.
+unsigned long sccpBytes(unsigned Blocks) {
+  std::unique_ptr<Module> M =
+      parseSingleFunctionOrDie(testprogs::diamondChainSource(Blocks));
+  Function &F = *M->functions()[0];
+  splitCriticalEdges(F);
+  DominatorTree DT(F);
+  SSABuildOptions Opts;
+  Opts.FoldCopies = true;
+  buildSSA(F, DT, Opts);
+  return bytesAllocatedBy([&] { runSCCP(F); });
+}
+
+TEST(AllocationCountTest, SCCPGrowsLinearlyWithTheChain) {
+  unsigned long Small = sccpBytes(12500);
+  unsigned long Large = sccpBytes(25000);
   ASSERT_GT(Small, 0u);
   EXPECT_LE(static_cast<double>(Large), 2.5 * static_cast<double>(Small))
       << Small << " -> " << Large << " bytes";

@@ -176,18 +176,22 @@ int main(int Argc, char **Argv) {
   const Instrumentation *InstrPtr =
       Instr.active() || Instr.Narrate ? &Instr : nullptr;
 
+  // Every function meets the compile-input contract before any compiles,
+  // so a bad function leaves no partial output, as in compileUnit.
   for (const auto &FPtr : M->functions()) {
-    Function &F = *FPtr;
     if (Shared.EnforceStrictness)
-      enforceStrictness(F);
-    InputFault Fault = checkCompileInput(F, Error);
+      enforceStrictness(*FPtr);
+    InputFault Fault = checkCompileInput(*FPtr, Error);
     if (Fault != InputFault::None) {
       std::fprintf(stderr, "%s%s\n", Error.c_str(),
                    Fault == InputFault::NotStrict ? "; re-run with --strict"
                                                   : "");
       return 1;
     }
+  }
 
+  for (const auto &FPtr : M->functions()) {
+    Function &F = *FPtr;
     Instr.Function = F.name();
     if (Opts.SsaOnly) {
       splitCriticalEdges(F);
