@@ -173,10 +173,9 @@ BriggsStats fcc::coalesceCopiesBriggs(Function &F,
       });
     }
   }
-  if (Opts.Instr && Opts.Instr->Stats) {
-    StatsRegistry &R = *Opts.Instr->Stats;
-    R.bump("briggs.copies-coalesced", Stats.CopiesCoalesced);
-    R.bump("briggs.passes", Stats.Iterations);
+  if (RecordList *R = recordsOf(Opts.Instr)) {
+    R->bump("briggs.copies-coalesced", Stats.CopiesCoalesced);
+    R->bump("briggs.passes", Stats.Iterations);
   }
   return Stats;
 }

@@ -37,9 +37,9 @@ unsigned identifyLiveRangeWebs(Function &F);
 struct BriggsOptions {
   /// Use the improved copy-involved-only graph rebuilds (Briggs*).
   bool Improved = false;
-  /// Observability sinks (support/Stats.h): per-pass briggs.ig-build /
-  /// briggs.coalesce-pass timers (trace category "coalesce") plus the
-  /// briggs.* outcome counters. Null (the default) is uninstrumented.
+  /// Observability (support/Stats.h): per-pass briggs.ig-build /
+  /// briggs.coalesce-pass spans (category "coalesce") plus the briggs.*
+  /// outcome counters. Null (the default) is uninstrumented.
   const Instrumentation *Instr = nullptr;
 };
 

@@ -642,15 +642,14 @@ FastCoalesceStats FastCoalescer::rewrite() {
   Stats.TempsUsed += Lowered.TempsUsed;
   Stats.PeakBytes += Lowered.PeakBytes;
 
-  if (Opts.Instr && Opts.Instr->Stats) {
-    StatsRegistry &R = *Opts.Instr->Stats;
-    R.bump("fast.copies-inserted", Stats.CopiesInserted);
-    R.bump("fast.temps-used", Stats.TempsUsed);
-    R.bump("fast.filter-rejections", Stats.FilterRejections);
-    R.bump("fast.forest-evictions", Stats.ForestEvictions);
-    R.bump("fast.local-evictions", Stats.LocalEvictions);
-    R.bump("fast.sets-renamed", Stats.SetsRenamed);
-    R.bump("fast.rounds", Stats.Rounds);
+  if (RecordList *R = recordsOf(Opts.Instr)) {
+    R->bump("fast.copies-inserted", Stats.CopiesInserted);
+    R->bump("fast.temps-used", Stats.TempsUsed);
+    R->bump("fast.filter-rejections", Stats.FilterRejections);
+    R->bump("fast.forest-evictions", Stats.ForestEvictions);
+    R->bump("fast.local-evictions", Stats.LocalEvictions);
+    R->bump("fast.sets-renamed", Stats.SetsRenamed);
+    R->bump("fast.rounds", Stats.Rounds);
   }
   return Stats;
 }

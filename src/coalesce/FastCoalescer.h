@@ -116,10 +116,10 @@ struct FastCoalescerOptions {
   /// with it on, the forest walk and the in-block scan find nothing to
   /// evict. Off reproduces the paper's lazy two-phase behavior.
   bool EagerSetChecks = true;
-  /// Observability sinks (support/Stats.h): sub-phase timers per round
+  /// Observability (support/Stats.h): sub-phase spans per round
   /// (fast.build-sets / fast.forest-walk / fast.local-scan / fast.rewrite,
-  /// trace category "coalesce") plus the fast.* outcome counters recorded
-  /// at rewrite, and the decision narration when Instr->Narrate is set.
+  /// category "coalesce") plus the fast.* outcome counters recorded at
+  /// rewrite, and the decision narration when Instr->Narrate is set.
   /// Null (the default) is the uninstrumented fast path.
   const Instrumentation *Instr = nullptr;
 };

@@ -120,56 +120,54 @@ PassStats fcc::runPassSequence(Function &F,
                                const std::vector<PassKind> &Passes,
                                const PassManagerOptions &Opts) {
   PassStats Total;
+  RecordList *Records = recordsOf(Opts.Instr);
   for (PassKind Kind : Passes) {
     switch (Kind) {
     case PassKind::Sccp: {
       SCCPStats S;
       {
-        PhaseScope Phase(Opts.Instr, "opt-sccp", "opt", Opts.Samples);
+        PhaseScope Phase(Opts.Instr, "opt-sccp", "opt");
         S = runSCCP(F);
       }
       Total.SccpConstants += S.ConstantsFolded;
       Total.SccpCopies += S.CopiesForwarded;
       Total.BranchesFolded += S.BranchesFolded;
       Total.BlocksRemoved += S.BlocksRemoved;
-      if (Opts.Instr && Opts.Instr->Stats) {
-        StatsRegistry &R = *Opts.Instr->Stats;
-        R.bump("opt.sccp.constants", S.ConstantsFolded);
-        R.bump("opt.sccp.copies", S.CopiesForwarded);
-        R.bump("opt.sccp.branches", S.BranchesFolded);
+      if (Records) {
+        Records->bump("opt.sccp.constants", S.ConstantsFolded);
+        Records->bump("opt.sccp.copies", S.CopiesForwarded);
+        Records->bump("opt.sccp.branches", S.BranchesFolded);
       }
       break;
     }
     case PassKind::Adce: {
       ADCEStats S;
       {
-        PhaseScope Phase(Opts.Instr, "opt-adce", "opt", Opts.Samples);
+        PhaseScope Phase(Opts.Instr, "opt-adce", "opt");
         S = runADCE(F);
       }
       Total.InstsRemoved += S.InstsRemoved;
       Total.PhisRemoved += S.PhisRemoved;
       Total.BranchesFolded += S.BranchesFolded;
       Total.BlocksRemoved += S.BlocksRemoved;
-      if (Opts.Instr && Opts.Instr->Stats) {
-        StatsRegistry &R = *Opts.Instr->Stats;
-        R.bump("opt.adce.insts", S.InstsRemoved);
-        R.bump("opt.adce.phis", S.PhisRemoved);
-        R.bump("opt.adce.branches", S.BranchesFolded);
+      if (Records) {
+        Records->bump("opt.adce.insts", S.InstsRemoved);
+        Records->bump("opt.adce.phis", S.PhisRemoved);
+        Records->bump("opt.adce.branches", S.BranchesFolded);
       }
       break;
     }
     case PassKind::Pre: {
       LosprePreStats S;
       {
-        PhaseScope Phase(Opts.Instr, "opt-pre", "opt", Opts.Samples);
+        PhaseScope Phase(Opts.Instr, "opt-pre", "opt");
         S = runLosprePre(F);
       }
       Total.PreHoisted += S.Hoisted;
       Total.PreEliminated += S.Eliminated;
-      if (Opts.Instr && Opts.Instr->Stats) {
-        StatsRegistry &R = *Opts.Instr->Stats;
-        R.bump("opt.pre.hoisted", S.Hoisted);
-        R.bump("opt.pre.eliminated", S.Eliminated);
+      if (Records) {
+        Records->bump("opt.pre.hoisted", S.Hoisted);
+        Records->bump("opt.pre.eliminated", S.Eliminated);
       }
       break;
     }

@@ -74,10 +74,9 @@ struct PassStats {
 
 /// Everything one sequence invocation can be configured with.
 struct PassManagerOptions {
-  /// Per-pass timing/counter sinks; null is the uninstrumented fast path.
+  /// Where each pass records its span (category "opt") and its opt.*
+  /// counters; null is the uninstrumented fast path.
   const Instrumentation *Instr = nullptr;
-  /// When non-null, each pass appends a PhaseSample (category "opt").
-  std::vector<PhaseSample> *Samples = nullptr;
   /// Re-verify structural and SSA invariants after every pass, throwing
   /// std::logic_error naming the offending pass on a violation. On by
   /// default in debug builds; tests force it on in release builds.

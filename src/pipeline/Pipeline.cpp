@@ -43,21 +43,19 @@ const char *fcc::pipelineName(PipelineKind Kind) {
 // paper's window measures the SSA round trip, not the optimizer.
 static uint64_t runOptStage(Function &F, const PipelineOptions &Opts,
                             std::optional<DominatorTree> &DT,
-                            PipelineResult &Result,
-                            std::vector<PhaseSample> *Ph) {
+                            PipelineResult &Result) {
   if (Opts.Passes.empty())
     return 0;
   Timer OptClock;
   PassManagerOptions PM;
   PM.Instr = Opts.Instr;
-  PM.Samples = Ph;
   runPassSequence(F, Opts.Passes, PM);
   {
-    PhaseScope P(Opts.Instr, "opt-resplit-edges", "opt", Ph);
+    PhaseScope P(Opts.Instr, "opt-resplit-edges", "opt");
     Result.CriticalEdgesSplit += splitCriticalEdges(F);
   }
   {
-    PhaseScope P(Opts.Instr, "opt-redominate", "opt", Ph);
+    PhaseScope P(Opts.Instr, "opt-redominate", "opt");
     DT.emplace(F, Opts.Analyses.Dominators);
   }
   return OptClock.elapsedMicros();
@@ -68,11 +66,10 @@ static uint64_t runOptStage(Function &F, const PipelineOptions &Opts,
 // model was requested. The rewriter converges or throws, so on return the
 // function's allocation is always complete.
 static void runRegallocStage(Function &F, const PipelineOptions &Opts,
-                             PipelineResult &Result,
-                             std::vector<PhaseSample> *Ph) {
+                             PipelineResult &Result) {
   if (!Opts.Machine)
     return;
-  PhaseScope P(Opts.Instr, "regalloc", "regalloc", Ph);
+  PhaseScope P(Opts.Instr, "regalloc", "regalloc");
   SpillRewriteOptions SR;
   SR.Machine = *Opts.Machine;
   SpillRewriteResult R = insertSpillCode(F, SR);
@@ -103,18 +100,17 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
 
   PipelineResult Result;
   Result.Kind = Kind;
-  // When instrumented, every top-level phase lands in Result.Phases; only
-  // the "pipeline"-category ones below run inside the paper's clock.
-  std::vector<PhaseSample> *Ph = Instr ? &Result.Phases : nullptr;
+  RecordList *Records = recordsOf(Instr);
+  const size_t FirstRecord = Records ? Records->Records.size() : 0;
   {
-    PhaseScope Split(Instr, "split-critical-edges", "setup", Ph);
+    PhaseScope Split(Instr, "split-critical-edges", "setup");
     Result.CriticalEdgesSplit = splitCriticalEdges(F);
   }
 
   Timer Clock; // The paper's timer: starts right before SSA construction.
   std::optional<DominatorTree> DT;
   {
-    PhaseScope P(Instr, "dominators", "pipeline", Ph);
+    PhaseScope P(Instr, "dominators", "pipeline");
     DT.emplace(F, Opts.Analyses.Dominators);
   }
   // Copy folding suits the SSA-based destructors; the Briggs webs need the
@@ -123,11 +119,11 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
   BuildOpts.FoldCopies = !Briggs;
   SSABuildStats Ssa;
   {
-    PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
+    PhaseScope P(Instr, "ssa-build", "pipeline");
     Ssa = buildSSA(F, *DT, BuildOpts);
   }
   // Time spent outside the paper's window: the optimizer and the audit.
-  uint64_t ExcludedMicros = runOptStage(F, Opts, DT, Result, Ph);
+  uint64_t ExcludedMicros = runOptStage(F, Opts, DT, Result);
   // Peak bytes of the destruction stage, its liveness included; the
   // dominator tree's bytes are added once at the end.
   size_t DestroyBytes = 0;
@@ -136,7 +132,7 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
   case PipelineKind::Standard: {
     DestructionStats Destr;
     {
-      PhaseScope P(Instr, "rewrite", "pipeline", Ph);
+      PhaseScope P(Instr, "rewrite", "pipeline");
       Destr = lowerPhis(F, [](Variable *V) { return V; });
     }
     DestroyBytes = Destr.PeakBytes;
@@ -145,20 +141,20 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
   case PipelineKind::New: {
     std::optional<Liveness> LV;
     {
-      PhaseScope P(Instr, "liveness", "pipeline", Ph);
+      PhaseScope P(Instr, "liveness", "pipeline");
       LV.emplace(F, Opts.Analyses.Liveness);
     }
     FastCoalescerOptions CoOpts;
     CoOpts.Instr = Instr;
     std::optional<FastCoalescer> Coalescer;
     {
-      PhaseScope P(Instr, "forest-walk", "pipeline", Ph);
+      PhaseScope P(Instr, "forest-walk", "pipeline");
       Coalescer.emplace(F, *DT, *LV, CoOpts);
       Coalescer->computePartition();
     }
     if (Opts.CheckPartition) {
       // The audit is diagnostics, not conversion work: keep its cost out of
-      // the paper-comparable timing and out of the phase samples. It walks
+      // the paper-comparable timing and out of Result.Phases. It walks
       // whole live-out sets, so it solves its own block-major ones.
       Timer CheckClock;
       std::string Error;
@@ -175,7 +171,7 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
     }
     FastCoalesceStats Co;
     {
-      PhaseScope P(Instr, "rewrite", "pipeline", Ph);
+      PhaseScope P(Instr, "rewrite", "pipeline");
       Co = Coalescer->rewrite();
     }
     DestroyBytes = Co.PeakBytes + LV->bytes();
@@ -184,7 +180,7 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
   case PipelineKind::Briggs:
   case PipelineKind::BriggsImproved: {
     {
-      PhaseScope P(Instr, "live-range-webs", "pipeline", Ph);
+      PhaseScope P(Instr, "live-range-webs", "pipeline");
       identifyLiveRangeWebs(F);
     }
     Timer CoalesceClock;
@@ -193,7 +189,7 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
     BO.Instr = Instr;
     BriggsStats Stats;
     {
-      PhaseScope P(Instr, "briggs-coalesce", "pipeline", Ph);
+      PhaseScope P(Instr, "briggs-coalesce", "pipeline");
       Stats = coalesceCopiesBriggs(F, BO);
     }
     Result.CoalesceTimeMicros = CoalesceClock.elapsedMicros();
@@ -209,7 +205,15 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
   Result.PhisInserted = Ssa.PhisInserted;
   Result.PeakBytes = std::max(Ssa.PeakBytes, DestroyBytes) + DT->bytes();
   Result.StaticCopies = F.staticCopyCount();
-  runRegallocStage(F, Opts, Result, Ph);
+  runRegallocStage(F, Opts, Result);
+  // Result.Phases: this run's spans except the nested "coalesce"
+  // sub-phases and the "audit", that is, its top-level phases in order.
+  if (Records)
+    for (size_t I = FirstRecord; I != Records->Records.size(); ++I) {
+      const Record &R = Records->Records[I];
+      if (!R.isCounter() && !R.is("coalesce") && !R.is("audit"))
+        Result.Phases.push_back({R.Name, R.Value});
+    }
   return Result;
 }
 

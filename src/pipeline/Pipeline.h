@@ -95,9 +95,10 @@ struct PipelineResult {
   unsigned CoalescePasses = 0;
   /// Briggs variants: wall-clock of the coalescing phase alone (Table 1).
   uint64_t CoalesceTimeMicros = 0;
-  /// Per-phase breakdown, filled only when the run was instrumented. The
-  /// samples are the non-overlapping top-level phases in execution order;
-  /// the ones inside the paper's timed window ("pipeline"-category phases:
+  /// Per-phase breakdown, filled only when the run had a staging list: the
+  /// run's own spans of every category but "coalesce" and "audit", which
+  /// are the non-overlapping top-level phases in execution order. The ones
+  /// inside the paper's timed window ("pipeline"-category phases:
   /// dominators, ssa-build, liveness, forest-walk/live-range-webs,
   /// briggs-coalesce, rewrite) sum to TimeMicros up to clock granularity.
   /// split-critical-edges runs before the paper's clock starts and is
@@ -129,10 +130,9 @@ struct PipelineResult {
 struct PipelineOptions {
   PipelineKind Kind = PipelineKind::New;
   AnalysisStrategy Analyses;
-  /// When non-null, each phase is timed into Result.Phases and reported to
-  /// the instrumentation's sinks (registry counters/timers, Chrome trace
-  /// events); null is the uninstrumented fast path with no extra clock
-  /// reads.
+  /// When it carries a staging list, every phase and counter appends a
+  /// record there and Result.Phases is filled from them; without one (the
+  /// default) no probe reads a clock.
   const Instrumentation *Instr = nullptr;
   /// When non-null, a register-allocation stage runs after the coalescing
   /// pipeline: the function is colored against this machine's banks with
@@ -152,11 +152,11 @@ struct PipelineOptions {
   std::vector<PassKind> Passes;
   /// New pipeline only (the other configurations ignore it): after the
   /// coalescer decides its partition and before any rewriting, audit it
-  /// with CoalescingChecker against exact SSA liveness. The audit traces
-  /// as "partition-check" (category "audit") to the instrumentation's
-  /// sinks, is not a Result.Phases sample, and its time is excluded from
-  /// TimeMicros, so a passing check leaves every result field as an
-  /// unchecked run would. A refutation throws PartitionRefuted.
+  /// with CoalescingChecker against exact SSA liveness. The audit records
+  /// as "partition-check" (category "audit"), is not a Result.Phases
+  /// sample, and its time is excluded from TimeMicros, so a passing check
+  /// leaves every result field as an unchecked run would. A refutation
+  /// throws PartitionRefuted.
   bool CheckPartition = false;
 };
 

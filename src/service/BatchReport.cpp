@@ -109,7 +109,7 @@ void appendFunction(std::string &Out, const FunctionRecord &F,
         Out += '{';
         appendJsonStr(Out, "name", P.Name);
         Out += ',';
-        appendJsonNum(Out, "us", P.Micros);
+        appendJsonNum(Out, "us", P.Nanos / 1000);
         Out += '}';
       }
       Out += ']';
@@ -248,7 +248,7 @@ std::string BatchReport::toJson(bool IncludeTimings) const {
       appendJsonNum(Out, "calls", P.Calls);
       if (IncludeTimings) {
         Out += ',';
-        appendJsonNum(Out, "us", P.Micros);
+        appendJsonNum(Out, "us", P.Nanos / 1000);
       }
       Out += '}';
     }

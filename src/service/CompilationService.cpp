@@ -13,7 +13,6 @@
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
-#include "support/TraceWriter.h"
 #include "workload/ProgramGenerator.h"
 
 #include <cstring>
@@ -212,61 +211,31 @@ CacheKey structKeyFor(const Module &M, uint64_t Cfg) {
 } // namespace
 
 UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
-                                           unsigned Index,
-                                           StatsRegistry *Registry) const {
+                                           const Timer &UnitClock,
+                                           const Instrumentation *Instr) const {
   UnitReport Report;
-  Report.Index = Index;
-  Report.Name = Unit.Name;
-  Report.Path = Unit.Path;
-  Timer UnitClock;
-
-  // The per-unit instrumentation handle; sinks are shared across workers
-  // (the registry and trace writer are thread-safe), labels are ours.
-  // Trace events stage in a unit-local buffer flushed once at unit end, so
-  // the writer's lock is taken once per unit, not once per phase.
-  Instrumentation Instr;
-  Instr.Stats = Registry;
-  Instr.Trace = Opts.Trace;
-  Instr.Unit = Unit.Name;
-  std::vector<TraceEvent> TraceBuf;
-  if (Opts.Trace)
-    Instr.TraceBuf = &TraceBuf;
-  const bool Observe = Instr.active();
-  const uint64_t UnitTraceStart = Opts.Trace ? Opts.Trace->nowMicros() : 0;
-  auto EmitUnitSpan = [&] {
-    if (!Opts.Trace)
-      return;
-    TraceBuf.push_back({Unit.Name, "unit", UnitTraceStart,
-                        Opts.Trace->nowMicros() - UnitTraceStart, /*Tid=*/0,
-                        Unit.Name, std::string()});
-    Opts.Trace->appendEvents(std::move(TraceBuf));
-  };
-
+  RecordList *Records = recordsOf(Instr);
   ResultCache *Cache = Opts.Cache;
   const uint64_t CfgFp = Cache ? configFingerprint(Opts) : 0;
 
-  auto Fail = [&](UnitStatus Status, std::string Error) -> UnitReport & {
+  auto Fail = [&](UnitStatus Status, std::string Error) {
     Report.Status = Status;
     Report.Error = std::move(Error);
-    Report.TotalMicros = UnitClock.elapsedMicros();
-    EmitUnitSpan();
-    return Report;
+    return std::move(Report);
   };
 
   /// Fills the report from a published cache value, substituting this
   /// unit's own function names so repeat and alpha-variant submissions get
   /// byte-identical-to-compiled report entries.
   auto Serve = [&](const std::shared_ptr<const CacheValue> &V,
-                   const std::vector<std::string> &Names) -> UnitReport & {
+                   const std::vector<std::string> &Names) {
     Report.Functions = V->Functions;
     for (size_t I = 0; I < Report.Functions.size() && I < Names.size(); ++I)
       Report.Functions[I].Name = Names[I];
     if (Opts.WantRewritten)
       Report.RewrittenText = V->RewrittenText;
     Report.FromCache = true;
-    Report.TotalMicros = UnitClock.elapsedMicros();
-    EmitUnitSpan();
-    return Report;
+    return std::move(Report);
   };
 
   if (CancelFlag.load())
@@ -378,17 +347,19 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
     Record.InputStaticCopies = F.staticCopyCount();
     Record.InputInstructions = F.instructionCount();
 
-    Instr.Function = F.name();
+    if (Records)
+      Records->beginFunction(F.name());
     PipelineOptions PipeOpts = pipelineOptionsFor(Opts);
-    PipeOpts.Instr = Observe ? &Instr : nullptr;
+    PipeOpts.Instr = Instr;
     try {
       Record.Compile = runPipeline(F, PipeOpts);
     } catch (const PartitionRefuted &E) {
       return Fail(UnitStatus::CheckFailed, "@" + F.name() + ": " + E.what());
     }
 
-    if (Registry)
-      Registry->noteMax("pipeline.peak-bytes", Record.Compile.PeakBytes);
+    if (Records)
+      Records->append("pipeline.peak-bytes", "max", 0,
+                      Record.Compile.PeakBytes);
 
     std::string Error;
     if (Opts.VerifyOutput && !verifyFunction(F, Error))
@@ -423,37 +394,50 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
     Report.RewrittenText = printModule(*M);
   }
 
-  Report.TotalMicros = UnitClock.elapsedMicros();
-  EmitUnitSpan();
   return Report;
 }
 
 UnitReport CompilationService::compileOne(const WorkUnit &Unit,
                                           unsigned Index,
                                           StatsRegistry *Registry) const {
-  auto Isolate = [&](const char *What) {
-    UnitReport U;
-    U.Index = Index;
-    U.Name = Unit.Name;
-    U.Path = Unit.Path;
-    U.Status = UnitStatus::InternalError;
-    U.Error = What;
-    return U;
-  };
+  // The unit's probes and counters stage in one list, which exists only
+  // when a registry or a trace writer will read it.
+  std::optional<RecordList> Records;
+  if (Registry || Opts.Trace)
+    Records.emplace();
+  Instrumentation Instr;
+  Instr.Records = Records ? &*Records : nullptr;
+
+  Timer UnitClock;
   UnitReport Report;
   try {
-    Report = compileUnit(Unit, Index, Registry);
+    Report = compileUnit(Unit, UnitClock, Records ? &Instr : nullptr);
   } catch (const std::exception &E) {
-    Report = Isolate(E.what());
+    Report.Status = UnitStatus::InternalError;
+    Report.Error = E.what();
   } catch (...) {
-    Report = Isolate("unknown exception");
+    Report.Status = UnitStatus::InternalError;
+    Report.Error = "unknown exception";
   }
-  // With a cache attached every unit resolves as exactly one hit or one
-  // miss (failures, thrown ones included, count as misses), so with a
-  // large-enough budget the counters are a pure function of the corpus —
-  // 1 miss + K-1 hits for K identical units under any scheduling.
-  if (Opts.Cache && Registry)
-    Registry->bump(Report.FromCache ? "cache.hits" : "cache.misses");
+
+  // The one exit: every unit, served, failed or thrown, is finished here.
+  Report.Index = Index;
+  Report.Name = Unit.Name;
+  Report.Path = Unit.Path;
+  const uint64_t UnitNanos = UnitClock.elapsedNanos();
+  Report.TotalMicros = UnitNanos / 1000;
+  if (Records) {
+    // With a cache attached every unit resolves as exactly one hit or one
+    // miss (failures, thrown ones included, count as misses), so with a
+    // large-enough budget the counters are a pure function of the corpus —
+    // 1 miss + K-1 hits for K identical units under any scheduling.
+    if (Opts.Cache)
+      Records->bump(Report.FromCache ? "cache.hits" : "cache.misses");
+    // Function 0: the unit span labels no function.
+    Records->Records.push_back(
+        {Unit.Name.c_str(), "unit", UnitClock.startNanos(), UnitNanos, 0});
+    publish(*Records, Unit.Name, Registry, Opts.Trace);
+  }
   return Report;
 }
 

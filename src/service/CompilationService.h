@@ -92,8 +92,8 @@ struct ServiceOptions {
   /// call counts are sums of per-unit values, snapshots are name-sorted.
   bool CollectStats = false;
   /// When non-null, every pipeline phase (and each whole unit) is emitted
-  /// as a Chrome trace event here, on the worker thread's track. The
-  /// writer must outlive run().
+  /// as a Chrome trace event here, on the worker thread's track, when the
+  /// unit finishes. The writer must outlive run().
   TraceWriter *Trace = nullptr;
   /// When non-null, units are served from / published to this
   /// content-addressed result cache (see server/ResultCache.h). Every
@@ -142,7 +142,8 @@ public:
   /// of its units (exceptions become InternalError reports, never escape).
   /// Thread-safe; the daemon calls this directly from pool tasks so units
   /// from different connections share one cache and one service. \p Registry
-  /// may be null.
+  /// may be null. With a registry or ServiceOptions::Trace, the unit's
+  /// probes and counters stage in one list, published once at its exit.
   UnitReport compileOne(const WorkUnit &Unit, unsigned Index,
                         StatsRegistry *Registry) const;
 
@@ -157,8 +158,10 @@ public:
   const ServiceOptions &options() const { return Opts; }
 
 private:
-  UnitReport compileUnit(const WorkUnit &Unit, unsigned Index,
-                         StatsRegistry *Registry) const;
+  /// Everything of a unit's report but what compileOne finishes at its one
+  /// exit: identity, TotalMicros, the unit span, publishing.
+  UnitReport compileUnit(const WorkUnit &Unit, const Timer &UnitClock,
+                         const Instrumentation *Instr) const;
 
   ServiceOptions Opts;
   std::atomic<bool> CancelFlag{false};

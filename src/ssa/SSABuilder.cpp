@@ -287,54 +287,54 @@ SSABuildStats fcc::buildSSA(Function &F, const DominatorTree &DT,
 
 bool fcc::verifySSAForm(const Function &F, const DominatorTree &DT,
                         std::string &Error) {
-  std::vector<const Instruction *> DefSite(F.numVariables(), nullptr);
-  auto RecordDef = [&](const Instruction &I) {
+  // Where each name is defined: its block and its position there, 0 for a
+  // phi (phis precede the whole body) and 1 + the index of a body
+  // instruction, so a same-block order test is one comparison.
+  struct DefPoint {
+    const BasicBlock *Block = nullptr;
+    unsigned Pos = 0;
+  };
+  std::vector<DefPoint> DefAt(F.numVariables());
+  auto RecordDef = [&](const Instruction &I, const BasicBlock *B,
+                       unsigned Pos) {
     Variable *Def = I.getDef();
     if (!Def)
       return true;
-    if (DefSite[Def->id()]) {
+    if (DefAt[Def->id()].Block) {
       Error = "variable '" + Def->name() + "' has multiple definitions";
       return false;
     }
-    DefSite[Def->id()] = &I;
+    DefAt[Def->id()] = {B, Pos};
     return true;
   };
   for (const auto &B : F.blocks()) {
     for (const auto &I : B->phis())
-      if (!RecordDef(*I))
+      if (!RecordDef(*I, B.get(), 0))
         return false;
+    unsigned Pos = 0;
     for (const auto &I : B->insts())
-      if (!RecordDef(*I))
+      if (!RecordDef(*I, B.get(), ++Pos))
         return false;
   }
   for (const Variable *P : F.params())
-    if (DefSite[P->id()]) {
+    if (DefAt[P->id()].Block) {
       Error = "parameter '" + P->name() + "' is redefined";
       return false;
     }
 
   // A definition in block D reaches a use in block U when D strictly
-  // dominates U, or D == U and the def precedes the use in the body.
+  // dominates U, or D == U and the def precedes the use in the body (an
+  // instruction's own def counts as preceding its uses).
   auto DefDominatesUse = [&](const Variable *V, const BasicBlock *UseBlock,
-                             const Instruction *UseInst) {
+                             unsigned UsePos) {
     if (F.isParam(V))
       return true; // Defined at entry, which dominates everything.
-    const Instruction *Def = DefSite[V->id()];
-    if (!Def)
+    const DefPoint &Def = DefAt[V->id()];
+    if (!Def.Block)
       return false;
-    const BasicBlock *DefBlock = Def->getParent();
-    if (DefBlock != UseBlock)
-      return DT.strictlyDominates(DefBlock, UseBlock);
-    if (Def->isPhi())
-      return true; // Phi defs precede the whole body.
-    for (const auto &I : UseBlock->insts()) {
-      if (I == Def)
-        return true; // Def first.
-      if (I == UseInst)
-        return false; // Use first.
-    }
-    assert(false && "use not found in its own block");
-    return false;
+    if (Def.Block != UseBlock)
+      return DT.strictlyDominates(Def.Block, UseBlock);
+    return Def.Pos <= UsePos;
   };
 
   for (const auto &B : F.blocks()) {
@@ -347,13 +347,13 @@ bool fcc::verifySSAForm(const Function &F, const DominatorTree &DT,
         // The use happens at the end of the predecessor (footnote 1 of the
         // paper: the move happens along the incoming edge).
         const Variable *V = O.getVar();
-        const Instruction *Def = F.isParam(V) ? nullptr : DefSite[V->id()];
         if (!F.isParam(V)) {
-          if (!Def) {
+          const BasicBlock *DefBlock = DefAt[V->id()].Block;
+          if (!DefBlock) {
             Error = "phi operand '" + V->name() + "' has no definition";
             return false;
           }
-          if (!DT.dominates(Def->getParent(), P)) {
+          if (!DT.dominates(DefBlock, P)) {
             Error = "phi operand '" + V->name() +
                     "' does not dominate the edge from '" + P->name() + "'";
             return false;
@@ -361,10 +361,12 @@ bool fcc::verifySSAForm(const Function &F, const DominatorTree &DT,
         }
       }
     }
+    unsigned Pos = 0;
     for (const auto &I : B->insts()) {
       bool Ok = true;
+      ++Pos;
       I->forEachUsedVar([&](Variable *V) {
-        if (Ok && !DefDominatesUse(V, B.get(), I)) {
+        if (Ok && !DefDominatesUse(V, B.get(), Pos)) {
           Error = "use of '" + V->name() + "' in block '" + B->name() +
                   "' is not dominated by its definition";
           Ok = false;

@@ -4,27 +4,54 @@
 
 #include "support/TraceWriter.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 using namespace fcc;
 
-void StatsRegistry::bump(const std::string &Counter, uint64_t Delta) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Counters[Counter] += Delta;
+namespace {
+
+/// The entry for \p Name, created at its default on first sight.
+template <typename V>
+V &slot(std::map<std::string, V, std::less<>> &Map, const char *Name) {
+  auto It = Map.find(std::string_view(Name));
+  if (It == Map.end())
+    It = Map.emplace(Name, V()).first;
+  return It->second;
 }
 
-void StatsRegistry::noteMax(const std::string &Counter, uint64_t Value) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  uint64_t &Slot = Counters[Counter];
-  if (Value > Slot)
-    Slot = Value;
-}
+} // namespace
 
-void StatsRegistry::recordPhase(const std::string &Phase, uint64_t Micros) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  PhaseAgg &Agg = Phases[Phase];
-  ++Agg.Calls;
-  Agg.Micros += Micros;
+void fcc::publish(const RecordList &List, const std::string &Unit,
+                  StatsRegistry *Registry, TraceWriter *Trace) {
+  if (Registry) {
+    std::lock_guard<std::mutex> Lock(Registry->Mu);
+    for (const Record &R : List.Records) {
+      if (R.is("count")) {
+        slot(Registry->Counters, R.Name) += R.Value;
+      } else if (R.is("max")) {
+        uint64_t &Peak = slot(Registry->Counters, R.Name);
+        Peak = std::max(Peak, R.Value);
+      } else if (!R.is("unit")) {
+        auto &Total = slot(Registry->Phases, R.Name);
+        ++Total.Calls;
+        Total.Nanos += R.Value;
+      }
+    }
+  }
+  if (!Trace)
+    return;
+  const uint64_t Epoch = Trace->epochNanos();
+  std::vector<TraceEvent> Events;
+  for (const Record &R : List.Records)
+    if (!R.isCounter())
+      Events.push_back(
+          {R.Name, R.Category,
+           R.StartNs > Epoch ? (R.StartNs - Epoch) / 1000 : 0, R.Value / 1000,
+           /*Tid=*/0, Unit,
+           R.Function ? List.Functions[R.Function - 1] : std::string()});
+  Trace->appendEvents(std::move(Events));
 }
 
 std::vector<CounterSnapshot> StatsRegistry::counters() const {
@@ -41,14 +68,8 @@ std::vector<PhaseTotal> StatsRegistry::phases() const {
   std::vector<PhaseTotal> Out;
   Out.reserve(Phases.size());
   for (const auto &[Name, Agg] : Phases)
-    Out.push_back({Name, Agg.Calls, Agg.Micros});
+    Out.push_back({Name, Agg.Calls, Agg.Nanos});
   return Out;
-}
-
-void StatsRegistry::clear() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Counters.clear();
-  Phases.clear();
 }
 
 std::string fcc::renderStats(const std::vector<PhaseTotal> &Phases,
@@ -66,7 +87,7 @@ std::string fcc::renderStats(const std::vector<PhaseTotal> &Phases,
         std::snprintf(Buf, sizeof(Buf), "%-30s %7llu %11llu\n",
                       P.Name.c_str(),
                       static_cast<unsigned long long>(P.Calls),
-                      static_cast<unsigned long long>(P.Micros));
+                      static_cast<unsigned long long>(P.Nanos / 1000));
       else
         std::snprintf(Buf, sizeof(Buf), "%-30s %7llu\n", P.Name.c_str(),
                       static_cast<unsigned long long>(P.Calls));
@@ -82,39 +103,4 @@ std::string fcc::renderStats(const std::vector<PhaseTotal> &Phases,
     }
   }
   return Out;
-}
-
-PhaseScope::PhaseScope(const Instrumentation *Instr, const char *Name,
-                       const char *Category,
-                       std::vector<PhaseSample> *Samples)
-    : Instr(Instr), Name(Name), Category(Category), Samples(Samples),
-      Active((Instr && Instr->active()) || Samples) {
-  if (!Active)
-    return;
-  if (Instr && Instr->Trace)
-    TraceStart = Instr->Trace->nowMicros();
-  Start = std::chrono::steady_clock::now();
-}
-
-PhaseScope::~PhaseScope() {
-  if (!Active)
-    return;
-  uint64_t Micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - Start)
-          .count());
-  if (Samples)
-    Samples->push_back({Name, Micros});
-  if (!Instr)
-    return;
-  if (Instr->Stats)
-    Instr->Stats->recordPhase(Name, Micros);
-  if (Instr->Trace) {
-    if (Instr->TraceBuf)
-      Instr->TraceBuf->push_back({Name, Category, TraceStart, Micros,
-                                  /*Tid=*/0, Instr->Unit, Instr->Function});
-    else
-      Instr->Trace->completeEvent(Name, Category, TraceStart, Micros,
-                                  Instr->Unit, Instr->Function);
-  }
 }

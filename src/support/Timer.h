@@ -1,9 +1,10 @@
 //===- support/Timer.h - Wall-clock timing ----------------------*- C++ -*-===//
 ///
 /// \file
-/// Minimal steady-clock stopwatch for the compile-time tables. The paper
-/// reports seconds on a 300 MHz Ultra 10; we report microseconds and,
-/// like the paper, lean on ratios rather than absolute values.
+/// The steady clock in nanoseconds and a minimal stopwatch over it for the
+/// compile-time tables. The paper reports seconds on a 300 MHz Ultra 10; we
+/// report microseconds and, like the paper, lean on ratios rather than
+/// absolute values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,25 +16,26 @@
 
 namespace fcc {
 
-/// Stopwatch measuring elapsed wall-clock microseconds.
+/// Nanoseconds on the steady clock: the one timebase of Timer, the probes'
+/// records and the trace writer's epoch.
+inline uint64_t steadyNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// Stopwatch measuring elapsed wall-clock time since construction.
 class Timer {
 public:
-  Timer() : Start(Clock::now()) {}
+  Timer() : StartNanos(steadyNanos()) {}
 
-  /// Restarts the stopwatch.
-  void reset() { Start = Clock::now(); }
-
-  /// Microseconds elapsed since construction or the last reset().
-  uint64_t elapsedMicros() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              Start)
-            .count());
-  }
+  uint64_t startNanos() const { return StartNanos; }
+  uint64_t elapsedNanos() const { return steadyNanos() - StartNanos; }
+  uint64_t elapsedMicros() const { return elapsedNanos() / 1000; }
 
 private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point Start;
+  uint64_t StartNanos;
 };
 
 } // namespace fcc

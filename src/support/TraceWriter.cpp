@@ -9,25 +9,6 @@
 
 using namespace fcc;
 
-uint64_t TraceWriter::nowMicros() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - Epoch)
-          .count());
-}
-
-void TraceWriter::completeEvent(const std::string &Name, const char *Category,
-                                uint64_t TsMicros, uint64_t DurMicros,
-                                const std::string &Unit,
-                                const std::string &Function) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  unsigned &Tid = ThreadIds
-                      .emplace(std::this_thread::get_id(),
-                               static_cast<unsigned>(ThreadIds.size()))
-                      .first->second;
-  Events.push_back({Name, Category, TsMicros, DurMicros, Tid, Unit, Function});
-}
-
 void TraceWriter::appendEvents(std::vector<TraceEvent> &&Batch) {
   if (Batch.empty())
     return;
@@ -46,11 +27,6 @@ void TraceWriter::appendEvents(std::vector<TraceEvent> &&Batch) {
 std::vector<TraceEvent> TraceWriter::events() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Events;
-}
-
-size_t TraceWriter::eventCount() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Events.size();
 }
 
 std::string TraceWriter::toJson() const {

@@ -11,15 +11,17 @@
 ///
 /// Timestamps are microseconds since the writer's construction (one shared
 /// steady-clock epoch, so events from all workers land on one timeline) and
-/// tids are small dense ids handed out in first-event order, one per OS
-/// thread, so each worker gets its own track in the viewer.
+/// tids are small dense ids handed out in first-batch order, one per OS
+/// thread, so each worker gets its own track in the viewer. Events arrive
+/// only from publish() (support/Stats.h), one batch per staging list.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCC_SUPPORT_TRACEWRITER_H
 #define FCC_SUPPORT_TRACEWRITER_H
 
-#include <chrono>
+#include "support/Timer.h"
+
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -40,29 +42,21 @@ struct TraceEvent {
   std::string Function;   ///< args.function ("" omits it).
 };
 
-/// Thread-safe trace-event collector. Record with completeEvent(), then
-/// serialize once with toJson()/writeFile().
+/// Thread-safe trace-event collector. Collect batches with appendEvents(),
+/// then serialize once with toJson()/writeFile().
 class TraceWriter {
 public:
-  TraceWriter() : Epoch(std::chrono::steady_clock::now()) {}
+  TraceWriter() : EpochNanos(steadyNanos()) {}
 
-  /// Microseconds elapsed since construction; the timebase for TsMicros.
-  uint64_t nowMicros() const;
+  /// steadyNanos() at construction; TsMicros counts from here.
+  uint64_t epochNanos() const { return EpochNanos; }
 
-  /// Records one complete event on the calling thread's track.
-  void completeEvent(const std::string &Name, const char *Category,
-                     uint64_t TsMicros, uint64_t DurMicros,
-                     const std::string &Unit = std::string(),
-                     const std::string &Function = std::string());
-
-  /// Moves a locally staged batch in under one lock, stamping every event
-  /// with the calling thread's track id. \p Batch is left empty.
+  /// Moves a batch in under one lock, stamping every event with the
+  /// calling thread's track id. \p Batch is left empty.
   void appendEvents(std::vector<TraceEvent> &&Batch);
 
   /// Snapshot of everything recorded so far.
   std::vector<TraceEvent> events() const;
-
-  size_t eventCount() const;
 
   /// The full trace as a JSON object (see the file comment for the shape).
   std::string toJson() const;
@@ -74,7 +68,7 @@ private:
   mutable std::mutex Mu;
   std::vector<TraceEvent> Events;
   std::map<std::thread::id, unsigned> ThreadIds;
-  std::chrono::steady_clock::time_point Epoch;
+  uint64_t EpochNanos;
 };
 
 } // namespace fcc

@@ -22,17 +22,27 @@
 //   member at a time cost O(k^2) time and bytes: the wide join's one wide
 //   phi, a one-armed if-chain and a loop nest all grew 4x per doubling.
 //   New, 8 000 -> 16 000 ifs and 8 000 -> 16 000 nested loops.
+// - The SSA verifier, which runs after every pass whenever
+//   PassManagerOptions::Verify is on, found a same-block definition by
+//   scanning the block from its top for every use, so on one long block
+//   it grew 4x per doubling. verifySSAForm alone, 20 000 -> 40 000
+//   statements of a fat block in SSA form with its copies kept.
 //
 //===----------------------------------------------------------------------===//
 
 #include "../common/ShapeSources.h"
+#include "analysis/DominatorTree.h"
+#include "ir/IRParser.h"
+#include "ir/Module.h"
 #include "opt/PassManager.h"
 #include "service/CompilationService.h"
+#include "ssa/SSABuilder.h"
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -125,6 +135,40 @@ TEST(IfChainCliffTest, DoublingTheIfsAtMostTwoAndAHalfTimesTheCost) {
 TEST(LoopNestCliffTest, DoublingTheDepthAtMostTwoAndAHalfTimesTheCost) {
   expectDoublingAtMostTwoAndAHalfTimes(PipelineKind::New, loopNestSource,
                                        8000);
+}
+
+TEST(VerifierCliffTest, DoublingTheBlockAtMostTwoAndAHalfTimesTheCost) {
+  struct Shape {
+    std::unique_ptr<Module> M;
+    std::optional<DominatorTree> DT;
+    double BestSeconds = std::numeric_limits<double>::infinity();
+  } Small, Large;
+  for (auto [Into, Statements] : {std::pair{&Small, 20000u},
+                                  std::pair{&Large, 40000u}}) {
+    std::string Error;
+    Into->M = parseModule(fatBlockSource(Statements, 5), Error);
+    ASSERT_TRUE(Into->M) << Error;
+    Function &F = *Into->M->functions()[0];
+    Into->DT.emplace(F);
+    SSABuildOptions Build;
+    Build.FoldCopies = false;
+    buildSSA(F, *Into->DT, Build);
+  }
+  for (unsigned Run = 0; Run != 5; ++Run)
+    for (Shape *S : {&Small, &Large}) {
+      std::string Error;
+      auto Start = std::chrono::steady_clock::now();
+      bool Valid = verifySSAForm(*S->M->functions()[0], *S->DT, Error);
+      std::chrono::duration<double> Took =
+          std::chrono::steady_clock::now() - Start;
+      ASSERT_TRUE(Valid) << Error;
+      S->BestSeconds = std::min(S->BestSeconds, Took.count());
+    }
+  if (TimesScale) {
+    EXPECT_LE(Large.BestSeconds, 2.5 * Small.BestSeconds)
+        << "best of five " << Small.BestSeconds << " s -> "
+        << Large.BestSeconds << " s";
+  }
 }
 
 TEST(ChainCliffTest, FiftyThousandBlocksUnderSixteenMegabytes) {

@@ -294,14 +294,14 @@ TEST(PipelineTest, CheckedPipelineByteIdenticalAcrossAnalysisStrategies) {
 
 TEST(PipelineTest, CheckedRunMatchesUncheckedRun) {
   // A passing audit is invisible in the result: same code, same fields and
-  // the same phase samples (the audit traces to the sinks only).
+  // the same phase samples (the audit's record is not one of them).
   for (const char *Text : {testprogs::VirtualSwap, testprogs::SwapLoop,
                            testprogs::LostCopy, testprogs::NestedLoops}) {
     auto Run = [&](bool Check, std::string &Printed) {
       auto M = parseSingleFunctionOrDie(Text);
-      StatsRegistry Reg;
+      RecordList Records;
       Instrumentation Instr;
-      Instr.Stats = &Reg;
+      Instr.Records = &Records;
       PipelineOptions Opts;
       Opts.Instr = &Instr;
       Opts.CheckPartition = Check;

@@ -1,8 +1,9 @@
 //===- tests/support/StatsTest.cpp ----------------------------------------===//
 //
-// The observability substrate: counter/phase aggregation is name-sorted and
-// thread-safe, PhaseScope reports to every attached sink and stays inert
-// without one, and TraceWriter emits well-formed Chrome trace JSON with
+// The observability substrate: probes and counters append records to a
+// staging list and stay inert without one, publish() turns a list into
+// name-sorted registry totals (thread-safe, summed in nanoseconds) and
+// trace events, and TraceWriter emits well-formed Chrome trace JSON with
 // per-thread track ids.
 //
 //===----------------------------------------------------------------------===//
@@ -18,12 +19,19 @@ using namespace fcc;
 
 namespace {
 
+/// Publishes \p List into \p Reg alone.
+void publishTo(StatsRegistry &Reg, const RecordList &List) {
+  publish(List, "u", &Reg, nullptr);
+}
+
 TEST(StatsRegistryTest, CountersAccumulateAndSortByName) {
+  RecordList List;
+  List.bump("zeta");
+  List.bump("alpha", 3);
+  List.bump("zeta", 2);
+  List.bump("mid", 0); // Zero-delta still creates the counter.
   StatsRegistry Reg;
-  Reg.bump("zeta");
-  Reg.bump("alpha", 3);
-  Reg.bump("zeta", 2);
-  Reg.bump("mid", 0); // Zero-delta still creates the counter.
+  publishTo(Reg, List);
 
   std::vector<CounterSnapshot> C = Reg.counters();
   ASSERT_EQ(C.size(), 3u);
@@ -33,34 +41,57 @@ TEST(StatsRegistryTest, CountersAccumulateAndSortByName) {
   EXPECT_EQ(C[1].Value, 0u);
   EXPECT_EQ(C[2].Name, "zeta");
   EXPECT_EQ(C[2].Value, 3u);
+  EXPECT_TRUE(Reg.phases().empty());
 }
 
 TEST(StatsRegistryTest, NoteMaxKeepsHighWaterMark) {
+  RecordList List;
+  List.append("peak", "max", 0, 10);
+  List.append("peak", "max", 0, 4); // Lower value must not regress the mark.
+  List.append("peak", "max", 0, 12);
   StatsRegistry Reg;
-  Reg.noteMax("peak", 10);
-  Reg.noteMax("peak", 4); // Lower value must not regress the mark.
-  Reg.noteMax("peak", 12);
+  publishTo(Reg, List);
+  RecordList Later;
+  Later.append("peak", "max", 0, 11); // Nor may a later list.
+  publishTo(Reg, Later);
   EXPECT_EQ(Reg.counters()[0].Value, 12u);
 }
 
-TEST(StatsRegistryTest, PhasesAccumulateCallsAndMicros) {
+TEST(StatsRegistryTest, PhasesAccumulateCallsAndNanos) {
+  RecordList List;
+  List.append("walk", "pipeline", 0, 10'000);
+  List.append("build", "coalesce", 0, 5'000);
+  List.append("walk", "pipeline", 0, 7'000);
+  List.append("u", "unit", 0, 99'000); // The unit span is trace-only.
   StatsRegistry Reg;
-  Reg.recordPhase("walk", 10);
-  Reg.recordPhase("build", 5);
-  Reg.recordPhase("walk", 7);
+  publishTo(Reg, List);
 
   std::vector<PhaseTotal> P = Reg.phases();
   ASSERT_EQ(P.size(), 2u);
   EXPECT_EQ(P[0].Name, "build");
   EXPECT_EQ(P[0].Calls, 1u);
-  EXPECT_EQ(P[0].Micros, 5u);
+  EXPECT_EQ(P[0].Nanos, 5'000u);
   EXPECT_EQ(P[1].Name, "walk");
   EXPECT_EQ(P[1].Calls, 2u);
-  EXPECT_EQ(P[1].Micros, 17u);
-
-  Reg.clear();
-  EXPECT_TRUE(Reg.phases().empty());
+  EXPECT_EQ(P[1].Nanos, 17'000u);
   EXPECT_TRUE(Reg.counters().empty());
+}
+
+TEST(StatsRegistryTest, TotalsAreNanosecondSums) {
+  // A thousand sub-microsecond samples: truncating each one to whole
+  // microseconds would total 0.
+  RecordList List;
+  for (unsigned I = 0; I != 1000; ++I)
+    List.append("fast.local-scan", "coalesce", I * 400, 400);
+  StatsRegistry Reg;
+  publishTo(Reg, List);
+
+  ASSERT_EQ(Reg.phases().size(), 1u);
+  EXPECT_EQ(Reg.phases()[0].Calls, 1000u);
+  EXPECT_EQ(Reg.phases()[0].Nanos, 400'000u);
+  EXPECT_NE(renderStats(Reg.phases(), {}, /*IncludeTimings=*/true)
+                .find(" 1000         400\n"),
+            std::string::npos);
 }
 
 TEST(StatsRegistryTest, ConcurrentBumpsSumExactly) {
@@ -70,25 +101,29 @@ TEST(StatsRegistryTest, ConcurrentBumpsSumExactly) {
   for (unsigned T = 0; T != Threads; ++T)
     Pool.submit([&Reg] {
       for (unsigned I = 0; I != PerThread; ++I) {
-        Reg.bump("hits");
-        Reg.recordPhase("phase", 1);
+        RecordList List;
+        List.bump("hits");
+        List.append("phase", "pipeline", 0, 1'000);
+        publishTo(Reg, List);
       }
     });
   Pool.wait();
   EXPECT_EQ(Reg.counters()[0].Value, Threads * PerThread);
   EXPECT_EQ(Reg.phases()[0].Calls, Threads * PerThread);
-  EXPECT_EQ(Reg.phases()[0].Micros, Threads * PerThread);
+  EXPECT_EQ(Reg.phases()[0].Nanos, Threads * PerThread * 1'000ull);
 }
 
 TEST(StatsRegistryTest, RenderOmitsMicrosWithoutTimings) {
+  RecordList List;
+  List.append("walk", "pipeline", 0, 123'456);
+  List.bump("evictions", 4);
   StatsRegistry Reg;
-  Reg.recordPhase("walk", 123);
-  Reg.bump("evictions", 4);
+  publishTo(Reg, List);
 
   std::string Timed =
       renderStats(Reg.phases(), Reg.counters(), /*IncludeTimings=*/true);
   EXPECT_NE(Timed.find("total_us"), std::string::npos);
-  EXPECT_NE(Timed.find("123"), std::string::npos);
+  EXPECT_NE(Timed.find(" 123\n"), std::string::npos);
 
   std::string Plain =
       renderStats(Reg.phases(), Reg.counters(), /*IncludeTimings=*/false);
@@ -99,22 +134,24 @@ TEST(StatsRegistryTest, RenderOmitsMicrosWithoutTimings) {
 }
 
 TEST(PhaseScopeTest, ReportsToAllSinks) {
+  RecordList List;
+  Instrumentation Instr;
+  Instr.Records = &List;
+  List.beginFunction("f");
+  {
+    PhaseScope P(&Instr, "demo", "pipeline");
+  }
+  // The probe's only output is one record in the list.
+  ASSERT_EQ(List.Records.size(), 1u);
+  EXPECT_STREQ(List.Records[0].Name, "demo");
+  EXPECT_EQ(List.Records[0].Function, 1u);
+
   StatsRegistry Reg;
   TraceWriter Trace;
-  Instrumentation Instr;
-  Instr.Stats = &Reg;
-  Instr.Trace = &Trace;
-  Instr.Unit = "u";
-  Instr.Function = "f";
-  std::vector<PhaseSample> Samples;
-  {
-    PhaseScope P(&Instr, "demo", "pipeline", &Samples);
-  }
-  ASSERT_EQ(Samples.size(), 1u);
-  EXPECT_STREQ(Samples[0].Name, "demo");
+  publish(List, "u", &Reg, &Trace);
   ASSERT_EQ(Reg.phases().size(), 1u);
   EXPECT_EQ(Reg.phases()[0].Name, "demo");
-  ASSERT_EQ(Trace.eventCount(), 1u);
+  ASSERT_EQ(Trace.events().size(), 1u);
   TraceEvent E = Trace.events()[0];
   EXPECT_EQ(E.Name, "demo");
   EXPECT_EQ(E.Category, "pipeline");
@@ -130,32 +167,32 @@ TEST(PhaseScopeTest, InertWithoutSinks) {
   {
     PhaseScope P(&Empty, "demo", "pipeline");
   }
-  // Nothing to assert beyond "does not crash": no sink, no effect.
+  // Nothing to assert beyond "does not crash": no list, no effect.
   SUCCEED();
 }
 
-TEST(PhaseScopeTest, BuffersEventsWhenTraceBufSet) {
+TEST(PublishTest, TraceEventsCountMicrosFromTheWritersEpoch) {
   TraceWriter Trace;
-  Instrumentation Instr;
-  Instr.Trace = &Trace;
-  std::vector<TraceEvent> Buf;
-  Instr.TraceBuf = &Buf;
-  {
-    PhaseScope P(&Instr, "staged", "pipeline");
-  }
-  EXPECT_EQ(Trace.eventCount(), 0u); // Still staged locally.
-  ASSERT_EQ(Buf.size(), 1u);
-  Trace.appendEvents(std::move(Buf));
-  EXPECT_TRUE(Buf.empty());
-  ASSERT_EQ(Trace.eventCount(), 1u);
-  EXPECT_EQ(Trace.events()[0].Name, "staged");
+  RecordList List;
+  List.append("early", "setup", Trace.epochNanos() + 5'900, 7'999);
+  List.bump("not-an-event");
+  List.Records.push_back({"u", "unit", Trace.epochNanos(), 20'000, 0});
+  publish(List, "u", nullptr, &Trace);
+
+  std::vector<TraceEvent> Events = Trace.events();
+  ASSERT_EQ(Events.size(), 2u);
+  EXPECT_EQ(Events[0].TsMicros, 5u);
+  EXPECT_EQ(Events[0].DurMicros, 7u);
+  EXPECT_EQ(Events[1].Category, "unit");
+  EXPECT_EQ(Events[1].Function, ""); // Unit-level records name no function.
 }
 
 TEST(TraceWriterTest, AssignsDenseThreadIds) {
   TraceWriter Trace;
-  Trace.completeEvent("main-thread", "t", 0, 1);
-  std::thread([&Trace] { Trace.completeEvent("other-thread", "t", 1, 1); })
-      .join();
+  Trace.appendEvents({{"main-thread", "t", 0, 1, 0, "", ""}});
+  std::thread([&Trace] {
+    Trace.appendEvents({{"other-thread", "t", 1, 1, 0, "", ""}});
+  }).join();
   std::vector<TraceEvent> Events = Trace.events();
   ASSERT_EQ(Events.size(), 2u);
   EXPECT_EQ(Events[0].Tid, 0u);
@@ -164,7 +201,8 @@ TEST(TraceWriterTest, AssignsDenseThreadIds) {
 
 TEST(TraceWriterTest, JsonHasChromeTraceShape) {
   TraceWriter Trace;
-  Trace.completeEvent("phase \"a\"", "pipeline", 5, 7, "unit\\1", "f");
+  Trace.appendEvents(
+      {{"phase \"a\"", "pipeline", 5, 7, /*Tid=*/0, "unit\\1", "f"}});
   std::string Json = Trace.toJson();
   EXPECT_EQ(Json.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(Json.find("\"ph\":\"X\""), std::string::npos);
@@ -173,13 +211,6 @@ TEST(TraceWriterTest, JsonHasChromeTraceShape) {
   EXPECT_NE(Json.find("\"phase \\\"a\\\"\""), std::string::npos);
   EXPECT_NE(Json.find("\"unit\\\\1\""), std::string::npos);
   EXPECT_NE(Json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-}
-
-TEST(TraceWriterTest, NowMicrosIsMonotonic) {
-  TraceWriter Trace;
-  uint64_t A = Trace.nowMicros();
-  uint64_t B = Trace.nowMicros();
-  EXPECT_LE(A, B);
 }
 
 } // namespace

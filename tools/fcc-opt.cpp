@@ -51,7 +51,6 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -159,22 +158,16 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  // Observability sinks: a stats registry behind --stats, a Chrome-trace
-  // writer behind --trace=PATH, the coalescer's narration behind --trace.
-  // Any one of them instruments the pipeline runs.
-  std::optional<StatsRegistry> Registry;
-  if (Opts.Stats)
-    Registry.emplace();
-  std::optional<TraceWriter> TraceJson;
-  if (!Opts.TracePath.empty())
-    TraceJson.emplace();
+  // Observability: --stats and --trace=PATH read each function's records,
+  // published after it compiles; the coalescer's narration behind --trace
+  // needs no records.
+  StatsRegistry Registry;
+  TraceWriter TraceJson;
+  RecordList Records;
   Instrumentation Instr;
-  Instr.Stats = Registry ? &*Registry : nullptr;
-  Instr.Trace = TraceJson ? &*TraceJson : nullptr;
+  if (Opts.Stats || !Opts.TracePath.empty())
+    Instr.Records = &Records;
   Instr.Narrate = Opts.Narrate ? stderr : nullptr;
-  Instr.Unit = Opts.InputPath;
-  const Instrumentation *InstrPtr =
-      Instr.active() || Instr.Narrate ? &Instr : nullptr;
 
   // Every function meets the compile-input contract before any compiles,
   // so a bad function leaves no partial output, as in compileUnit.
@@ -192,7 +185,7 @@ int main(int Argc, char **Argv) {
 
   for (const auto &FPtr : M->functions()) {
     Function &F = *FPtr;
-    Instr.Function = F.name();
+    Records.beginFunction(F.name());
     if (Opts.SsaOnly) {
       splitCriticalEdges(F);
       DominatorTree DT(F);
@@ -204,7 +197,7 @@ int main(int Argc, char **Argv) {
                     Stats.PhisInserted, Stats.CopiesFolded);
       if (!Shared.Passes.empty()) {
         PassManagerOptions PM;
-        PM.Instr = InstrPtr;
+        PM.Instr = &Instr;
         PassStats PS = runPassSequence(F, Shared.Passes, PM);
         if (Opts.Stats)
           std::printf("; @%s: passes folded %u consts, forwarded %u copies, "
@@ -214,7 +207,7 @@ int main(int Argc, char **Argv) {
       }
     } else {
       PipelineOptions Pipe = pipelineOptionsFor(Shared);
-      Pipe.Instr = InstrPtr;
+      Pipe.Instr = &Instr;
       PipelineResult Result;
       try {
         Result = runPipeline(F, Pipe);
@@ -245,11 +238,13 @@ int main(int Argc, char **Argv) {
           std::printf(";   phases:");
           for (const PhaseSample &P : Result.Phases)
             std::printf(" %s %lluus", P.Name,
-                        static_cast<unsigned long long>(P.Micros));
+                        static_cast<unsigned long long>(P.Nanos / 1000));
           std::printf("\n");
         }
       }
     }
+    publish(Records, Opts.InputPath, &Registry, &TraceJson);
+    Records = RecordList();
 
     if (!verifyFunction(F, Error)) {
       std::fprintf(stderr, "internal error: output does not verify: %s\n",
@@ -281,10 +276,10 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (Registry) {
+  if (Opts.Stats) {
     // The aggregated tables, as IR comments so the output stays parseable.
     std::string Tables =
-        renderStats(Registry->phases(), Registry->counters(),
+        renderStats(Registry.phases(), Registry.counters(),
                     /*IncludeTimings=*/true);
     size_t Pos = 0;
     while (Pos < Tables.size()) {
@@ -293,9 +288,9 @@ int main(int Argc, char **Argv) {
       Pos = Eol + 1;
     }
   }
-  if (TraceJson) {
+  if (!Opts.TracePath.empty()) {
     std::string TraceError;
-    if (!TraceJson->writeFile(Opts.TracePath, TraceError)) {
+    if (!TraceJson.writeFile(Opts.TracePath, TraceError)) {
       std::fprintf(stderr, "%s\n", TraceError.c_str());
       return 1;
     }
